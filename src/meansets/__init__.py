@@ -15,6 +15,7 @@ from .errors import (
     MeansetsError,
     MeasureFormatError,
     NonSingletonTruthError,
+    NotATreeError,
     NotMeanSetError,
     RankMismatchError,
     UnreachableAtomError,

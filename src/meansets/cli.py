@@ -56,11 +56,35 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _int_list(text: str) -> tuple[int, ...]:
+def _positive_int(text: str) -> int:
     try:
-        return tuple(int(part) for part in text.split(",") if part.strip())
+        value = int(text)
     except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+def _int_list(text: str, minimum: int = 0) -> tuple[int, ...]:
+    """Comma-separated integers, each at least `minimum`."""
+    try:
+        values = tuple(int(part) for part in text.split(",") if part.strip())
+    except ValueError:
+        values = ()
+    if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+    if min(values) < minimum:
+        raise argparse.ArgumentTypeError(f"values must be at least {minimum}, got {text!r}")
+    return values
+
+
+def _sample_sizes(text: str) -> tuple[int, ...]:
+    """Comma-separated sample sizes: positive and strictly increasing."""
+    sizes = _int_list(text, minimum=1)
+    if any(b <= a for a, b in zip(sizes, sizes[1:])):
+        raise argparse.ArgumentTypeError(f"sample sizes must be strictly increasing, got {text!r}")
+    return sizes
 
 
 def _load_instance(args):
@@ -84,7 +108,7 @@ def _load_instance(args):
 def _add_instance_args(parser: argparse.ArgumentParser) -> None:
     src = parser.add_mutually_exclusive_group(required=True)
     src.add_argument("--graph", help="explicit graph file (edge list)")
-    src.add_argument("--free-rank", type=int, metavar="R",
+    src.add_argument("--free-rank", type=_positive_int, metavar="R",
                      help="use the free group of rank R instead of a graph file")
     parser.add_argument("--measure", required=True, help="measure file: 'vertex mass' lines")
 
@@ -199,27 +223,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="multi-vertex random-walk report")
     _add_instance_args(p)
-    p.add_argument("--steps", type=int, default=100_000)
+    p.add_argument("--steps", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--coeff-bound", type=int, default=5)
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("table-f4", help="sphere-sampling convergence table")
-    p.add_argument("--rank", type=int, default=4)
+    p.add_argument("--rank", type=_positive_int, default=4)
     p.add_argument("--lengths", type=_int_list, default=(5, 10, 20, 50))
-    p.add_argument("--samples", type=_int_list, default=(2, 4, 6, 8, 10, 12, 14, 16))
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--samples", type=_sample_sizes, default=(2, 4, 6, 8, 10, 12, 14, 16))
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--workers", type=int, default=1,
+    p.add_argument("--workers", type=_positive_int, default=1,
                    help="cells run in a process pool when > 1; output is unchanged")
     p.set_defaults(func=_cmd_table)
 
     p = sub.add_parser("decay", help="sample mean-set miss-rate curve")
     _add_instance_args(p)
-    p.add_argument("--samples", type=_int_list, required=True)
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--samples", type=_sample_sizes, required=True)
+    p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--containment", action="store_true",
                    help="count S_n not-a-subset-of-E as the miss event")
@@ -229,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="randomized invariant sweep")
     p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--cases", type=int, default=50)
+    p.add_argument("--cases", type=_positive_int, default=50)
     p.add_argument("--inject-fault", action="store_true",
                    help="negative control: skip free reduction when shifting")
     p.set_defaults(func=_cmd_check)

@@ -26,6 +26,11 @@ class DescentStepLimitError(MeansetsError):
     local-finiteness assumptions under which descent terminates."""
 
 
+class NotATreeError(MeansetsError):
+    """Direct descent was asked to solve on an explicit graph with cycles,
+    where a local minimum of the weight need not be a global one."""
+
+
 class NotMeanSetError(MeansetsError):
     """The vertex list handed to the random-walk apparatus is not the mean-set
     of the supplied measure."""

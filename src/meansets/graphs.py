@@ -50,8 +50,12 @@ class Graph:
     def _scan_from(self, source) -> _BfsScan:
         scan = self._scans.get(source)
         if scan is None:
+            self._require_vertex(source)
             scan = self._scans[source] = _BfsScan(source)
         return scan
+
+    def _require_vertex(self, v) -> None:
+        """Reject a BFS source outside the vertex set (only explicit graphs can tell)."""
 
     def _expand(self, scan: _BfsScan) -> bool:
         """Grow the scan by one BFS layer; False when the component is exhausted."""
@@ -78,6 +82,18 @@ class Graph:
             if not self._expand(scan):
                 raise UnreachableVertexError(f"no path from {u!r} to {v!r}")
         return scan.dist[v]
+
+    def distances_from(self, source) -> dict:
+        """Distance from `source` to every vertex of its component.
+
+        Completes the memoized BFS from `source` and returns its distance
+        map, which the graph keeps: callers must not mutate it.  Terminates
+        only when the component is finite.
+        """
+        scan = self._scan_from(source)
+        while self._expand(scan):
+            pass
+        return scan.dist
 
     def ball(self, v, r: int) -> set:
         """All vertices at distance <= r from v."""
@@ -130,6 +146,10 @@ class ExplicitGraph(Graph):
 
     def neighbors(self, v) -> tuple:
         return self._adj[v]
+
+    def _require_vertex(self, v) -> None:
+        if v not in self._adj:
+            raise UnreachableVertexError(f"{v!r} is not a vertex")
 
     def vertices(self) -> tuple:
         return self._vertices

@@ -7,7 +7,8 @@ The weight of class c at a vertex v is the exact rational
 and the mean-set is the exact argmin of W_c over the graph.  Three solvers
 cover the three graph shapes:
 
-  * mean_set_exact     -- full scan of a finite explicit graph;
+  * mean_set_exact     -- full scan of a finite explicit graph, scored from
+                          one BFS per atom;
   * mean_set_tree      -- direct descent plus an equal-weight flood fill,
                           exact on trees (the weight is convex along tree
                           paths, so local minima are global and the argmin
@@ -27,6 +28,7 @@ from fractions import Fraction
 
 from .errors import (
     DescentStepLimitError,
+    NotATreeError,
     UnreachableAtomError,
     UnreachableVertexError,
 )
@@ -58,7 +60,7 @@ def weight(g: Graph, mu: AtomicMeasure, v, c: int = 2) -> Fraction:
     _check_class(c)
     denom, nums = mu.numerators()
     try:
-        return Fraction(_weight_num(g, nums, v, c), denom)
+        return Fraction(_weight_fn(g.distance, nums, c)(v), denom)
     except UnreachableVertexError as exc:
         raise UnreachableAtomError(str(exc)) from None
 
@@ -68,41 +70,37 @@ def _check_class(c: int) -> None:
         raise ValueError("weight class must be 1 or 2")
 
 
-def _weight_num(g: Graph, nums: dict, v, c: int) -> int:
-    dist = g.distance
-    if c == 2:
-        return sum(dist(v, s) ** 2 * m for s, m in nums.items())
-    return sum(dist(v, s) * m for s, m in nums.items())
+def _weight_fn(dist, nums: dict, c: int):
+    """Integer weight numerator as a function of the vertex.
 
-
-def _weight_fn(g: Graph, nums: dict, c: int):
-    dist = g.distance
+    Distances are asked for as dist(s, v), atom first, so any BFS that
+    `Graph.distance` starts is sourced at one of the |supp| atoms and its
+    memoized scan serves every vertex weighted afterwards.
+    """
     items = list(nums.items())
     if c == 2:
         def f(v):
             acc = 0
             for s, m in items:
-                d = dist(v, s)
+                d = dist(s, v)
                 acc += d * d * m
             return acc
     else:
         def f(v):
             acc = 0
             for s, m in items:
-                acc += dist(v, s) * m
+                acc += dist(s, v) * m
             return acc
     return f
 
 
-def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
-    """Exact argmin over every vertex of a finite explicit graph."""
-    _check_class(c)
-    denom, nums = mu.numerators()
-    f = _weight_fn(g, nums, c)
+def _argmin(candidates, weight, denom: int, c: int, method: str) -> MeanSetResult:
+    """Exact argmin of an integer weight numerator over a sized collection
+    of candidates; `steps` records how many were scanned."""
     best = None
     best_vs: list = []
-    for v in g.vertices():
-        w = f(v)
+    for v in candidates:
+        w = weight(v)
         if best is None or w < best:
             best = w
             best_vs = [v]
@@ -112,9 +110,26 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
         vertices=frozenset(best_vs),
         min_weight=Fraction(best, denom),
         class_c=c,
-        method="exact",
-        steps=len(g.vertices()),
+        method=method,
+        steps=len(candidates),
     )
+
+
+def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
+    """Exact argmin over every vertex of a finite explicit graph.
+
+    One BFS per atom gives a column of distances to every vertex, and each
+    vertex is scored by lookups in the columns: O(|supp| * (V + E)) time and
+    O(|supp| * V) memory.
+    """
+    _check_class(c)
+    denom, nums = mu.numerators()
+    try:
+        columns = {s: g.distances_from(s) for s in nums}
+    except UnreachableVertexError as exc:
+        raise UnreachableAtomError(str(exc)) from None
+    f = _weight_fn(lambda s, v: columns[s][v], nums, c)
+    return _argmin(g.vertices(), f, denom, c, "exact")
 
 
 def certify_radius(g: Graph, mu: AtomicMeasure, v0, r: int) -> bool:
@@ -208,9 +223,13 @@ def mean_set_tree(
     weight is convex along paths, hence the local minimizer found is global
     and the full argmin set is the connected equal-weight region around it;
     for class 2 that region has at most two (adjacent) vertices.  On graphs
-    with cycles this is a heuristic and may return a strict local minimum.
+    with cycles a local minimum need not be global, so an explicit graph that
+    is not a tree raises NotATreeError; on an implicit graph not declared a
+    tree the result is only a local minimum.
     """
     _check_class(c)
+    if g.is_explicit and not g.is_tree:
+        raise NotATreeError("descent is exact only on trees; this graph has cycles")
     support = mu.support()
     if len(support) == 1:
         return MeanSetResult(
@@ -223,7 +242,7 @@ def mean_set_tree(
     if start is None:
         start = min(support, key=lambda v: (-mu[v], v))
     denom, nums = mu.numerators()
-    f = _weight_fn(g, nums, c)
+    f = _weight_fn(g.distance, nums, c)
     v, steps, cache = _descend(g, f, start, max_steps)
     best = cache[v]
     region = _equal_weight_region(g, f, v, best, cache)
@@ -270,24 +289,8 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         r = dist_to_atom[s]
         acc += r ** c * nums[s]
     radius = 3 * r if c == 2 else 4 * r
-    ball = g.ball(v, radius)
-    f = _weight_fn(g, nums, c)
-    best = None
-    best_vs: list = []
-    for u in sorted(ball):
-        w = f(u)
-        if best is None or w < best:
-            best = w
-            best_vs = [u]
-        elif w == best:
-            best_vs.append(u)
-    return MeanSetResult(
-        vertices=frozenset(best_vs),
-        min_weight=Fraction(best, denom),
-        class_c=c,
-        method="bounded",
-        steps=len(ball),
-    )
+    ball = sorted(g.ball(v, radius))
+    return _argmin(ball, _weight_fn(g.distance, nums, c), denom, c, "bounded")
 
 
 def measure_mean_set(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
@@ -316,24 +319,10 @@ def line_mean_set(mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     support = mu.support()
     lo, hi = min(support), max(support)
     denom, nums = mu.numerators()
-    best = None
-    best_vs: list = []
-    for v in range(lo, hi + 1):
-        if c == 2:
-            w = sum((v - s) * (v - s) * m for s, m in nums.items())
-        else:
-            w = sum(abs(v - s) * m for s, m in nums.items())
-        if best is None or w < best:
-            best = w
-            best_vs = [v]
-        elif w == best:
-            best_vs.append(v)
-    return MeanSetResult(
-        vertices=frozenset(best_vs),
-        min_weight=Fraction(best, denom),
-        class_c=c,
-        method="line-scan",
-        steps=hi - lo + 1,
+    return _argmin(
+        range(lo, hi + 1),
+        lambda v: sum(abs(v - s) ** c * m for s, m in nums.items()),
+        denom, c, "line-scan",
     )
 
 

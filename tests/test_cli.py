@@ -84,6 +84,18 @@ class TestMeansetCommand:
         assert code == 2
         assert "99" in err
 
+    def test_descent_refuses_graph_with_cycles(self, capsys, tmp_path):
+        graph = tmp_path / "g.txt"
+        graph.write_text("0 1\n0 2\n1 3\n1 4\n2 3\n2 4\n")
+        measure = tmp_path / "mu.txt"
+        measure.write_text("0 1\n4 1\n")
+        code, _, err = run_cli(
+            capsys, "meanset", "--graph", str(graph), "--measure", str(measure),
+            "--method", "descent",
+        )
+        assert code == 2
+        assert err.startswith("error:") and "tree" in err
+
     def test_usage_error_exits_2(self, path_instance):
         with pytest.raises(SystemExit) as exc:
             main(["meanset", "--measure", "nowhere"])
@@ -203,3 +215,29 @@ class TestCheckCommand:
         assert code == 0
         assert "classical-mean-gap" in out
         assert "shift-property" not in out
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["meanset", "--free-rank", "0", "--measure", "{measure}"], "--free-rank"),
+        (["table-f4", "--trials", "0"], "--trials"),
+        (["walk", "--graph", "{graph}", "--measure", "{measure}", "--steps", "0"], "--steps"),
+        (["table-f4", "--samples", "4,2"], "--samples"),
+        (["decay", "--graph", "{graph}", "--measure", "{measure}", "--samples", "0"],
+         "--samples"),
+        (["table-f4", "--lengths", "-1"], "--lengths"),
+        (["check", "--cases", "0"], "--cases"),
+    ],
+    ids=["free-rank-0", "trials-0", "steps-0", "samples-decreasing", "decay-samples-0",
+         "lengths-negative", "cases-0"],
+)
+def test_bad_numeric_argument_exits_2(capsys, path_instance, argv, flag):
+    graph, measure = path_instance
+    argv = [a.format(graph=graph, measure=measure) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: argument {flag}:" in err
+    assert "Traceback" not in err

@@ -94,6 +94,28 @@ class TestDistance:
             g.distance(0, 5)
 
 
+class TestDistancesFrom:
+    def test_matches_floyd_warshall(self):
+        rng = random.Random(808)
+        for _ in range(25):
+            g = random_connected_graph(rng, 12)
+            oracle = floyd_warshall(g)
+            for s in g.vertices():
+                assert g.distances_from(s) == {v: oracle[s, v] for v in g.vertices()}
+
+    def test_completes_a_partial_scan(self):
+        g = path_graph(6)
+        assert g.distance(2, 3) == 1
+        assert g.distances_from(2) == {0: 2, 1: 1, 2: 0, 3: 1, 4: 2, 5: 3}
+
+    def test_non_vertex_source_raises(self):
+        g = path_graph(3)
+        with pytest.raises(UnreachableVertexError):
+            g.distances_from(7)
+        with pytest.raises(UnreachableVertexError):
+            g.distance(7, 0)
+
+
 class TestBall:
     def test_path_ball(self):
         g = path_graph(4)

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from meansets.errors import DescentStepLimitError, UnreachableAtomError
+from meansets.errors import DescentStepLimitError, NotATreeError, UnreachableAtomError
 from meansets.freegroup import (
     CayleyGraph,
     enumerate_ball,
@@ -132,6 +132,43 @@ class TestMeanSetExact:
                 vs, best = brute_force_mean_set(g, mu, c)
                 assert res.vertices == vs
                 assert res.min_weight == best
+
+    def test_class_one_matches_floyd_warshall_with_cycles(self):
+        # atom 0 is where the connectivity check left a completed scan
+        rng = random.Random(4471)
+        for _ in range(80):
+            g = random_connected_graph(rng, 14, min_vertices=3, extra_edge_prob=0.35)
+            masses = {v: Fraction(rng.randint(1, 9)) for v in g.vertices() if rng.random() < 0.4}
+            masses[0] = Fraction(rng.randint(1, 9))
+            mu = AtomicMeasure.from_masses(masses)
+            res = mean_set_exact(g, mu, 1)
+            vs, best = brute_force_mean_set(g, mu, 1)
+            assert res.vertices == vs
+            assert res.min_weight == best
+            assert res.steps == len(g)
+
+    def test_long_path_work_is_one_bfs_per_atom(self):
+        class CountingPath(ExplicitGraph):
+            calls = 0
+
+            def neighbors(self, v):
+                self.calls += 1
+                return super().neighbors(v)
+
+        n = 10**4
+        g = CountingPath((i, i + 1) for i in range(n - 1))
+        g.calls = 0  # the connectivity check at construction is not solver work
+        mu = AtomicMeasure.from_masses({0: 1, 5000: 2, 9999: 1})
+        res = mean_set_exact(g, mu, 2)
+        assert res.vertices == frozenset([5000])
+        assert res.min_weight == Fraction(49990001, 4)
+        assert g.calls <= 3 * n
+
+    def test_atom_outside_graph(self):
+        with pytest.raises(UnreachableAtomError):
+            mean_set_exact(path_graph(3), AtomicMeasure.point_mass(99), 2)
+        with pytest.raises(UnreachableAtomError):
+            weight(path_graph(3), AtomicMeasure.point_mass(99), 0, 2)
 
 
 class TestCertifyRadius:
@@ -308,6 +345,14 @@ class TestMeanSetTree:
             elif val == best:
                 best_words.add(word_to_str(w))
         assert res.vertices == frozenset(best_words)
+
+    def test_refuses_graph_with_cycles(self):
+        # descent stops at 1, but 1 and 2 tie: W = 1 at both
+        g = ExplicitGraph([(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+        mu = AtomicMeasure.from_masses({0: 1, 4: 1})
+        with pytest.raises(NotATreeError):
+            mean_set_tree(g, mu, 2)
+        assert mean_set_exact(g, mu, 2).vertices == frozenset([1, 2])
 
     def test_single_atom_short_circuit(self):
         g = CayleyGraph(2)
