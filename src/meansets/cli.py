@@ -56,14 +56,22 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, minimum: int) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _int_list(text: str, minimum: int = 0) -> tuple[int, ...]:
@@ -225,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--steps", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--coeff-bound", type=int, default=5)
+    p.add_argument("--coeff-bound", type=_nonnegative_int, default=5)
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("table-f4", help="sphere-sampling convergence table")

@@ -20,13 +20,17 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, islice, product, repeat
 from math import lcm
+from operator import ge
 
 from .errors import NotMeanSetError
 from .graphs import Graph
 from .measures import AtomicMeasure
 from .meanset import measure_mean_set
+
+_BLOCK = 1024  # walk steps per block of simulate_walk
+_LOOKUP_BITS = 12  # simulate_walk tabulates draws below 2**12
 
 
 @dataclass(frozen=True)
@@ -121,35 +125,7 @@ def second_moment(incs: list[IncrementVector]) -> Fraction:
 
 def genuine_dimension(incs: list[IncrementVector]) -> int:
     """Rank of the integer lattice generated by the increment vectors."""
-    return _int_rank([list(iv.coords) for iv in incs])
-
-
-def _int_rank(rows: list[list[int]]) -> int:
-    """Rank of an integer matrix by fraction-free elimination."""
-    rows = [r[:] for r in rows if any(r)]
-    if not rows:
-        return 0
-    cols = len(rows[0])
-    rank = 0
-    col = 0
-    while col < cols and rank < len(rows):
-        pivot = None
-        for i in range(rank, len(rows)):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        p = rows[rank][col]
-        for i in range(rank + 1, len(rows)):
-            q = rows[i][col]
-            if q:
-                rows[i] = [p * a - q * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
+    return len(_lattice_basis([list(iv.coords) for iv in incs]))
 
 
 def _lattice_basis(rows: list[list[int]]) -> list[list[int]]:
@@ -263,6 +239,24 @@ def positivity_hypotheses(
     )
 
 
+def _randbelow_block(getrandbits, n: int, count: int, lookup: list | None = None) -> list:
+    """lookup[r] for each of the next count values r of randrange(n).
+
+    random.Random.randrange(n) draws getrandbits(k), k = n.bit_length(),
+    until a value falls below n, so successive calls return the accepted
+    values of one stream of getrandbits(k) draws.  Only as many draws as
+    values are still missing are made, so the generator ends where count
+    calls of randrange(n) leave it.  lookup has 2**k entries, nonzero below
+    n and 0 from n on; without it the values themselves are returned.
+    """
+    k = n.bit_length()
+    out: list = []
+    while len(out) < count:
+        raw = map(getrandbits, repeat(k, count - len(out)))
+        out += filter(None, map(lookup.__getitem__, raw)) if lookup else filter(n.__gt__, raw)
+    return out
+
+
 def simulate_walk(
     incs: list[IncrementVector],
     steps: int,
@@ -274,35 +268,68 @@ def simulate_walk(
     The trace is thinned to every trace_every-th state to bound memory; the
     visit count and last-visit step are exact over all steps.  Recurrence is
     an asymptotic property, so the result is descriptive only.
+
+    Steps run in blocks of _BLOCK: a block draws its increments with the
+    getrandbits calls that rng.randrange(denom) makes, advances each
+    coordinate by a running sum and reads the visits from the per-step
+    minimum over coordinates.  The result, and the state rng is left in,
+    equal those of one randrange call per step, in O(_BLOCK * dim) memory.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
+    if trace_every < 1:
+        raise ValueError("need trace_every >= 1")
     if not incs:
         raise ValueError("need at least one increment vector")
     dim = len(incs[0].coords)
     denom = lcm(*(iv.probability.denominator for iv in incs))
-    cum = []
-    acc = 0
+    cum = [0]  # bisect_right(cum, r) is the 1-based increment drawn by r
     for iv in incs:
-        acc += int(iv.probability * denom)
-        cum.append(acc)
-    if acc != denom:
+        cum.append(cum[-1] + int(iv.probability * denom))
+    if cum[-1] != denom:
         raise ValueError("increment probabilities must sum to 1")
-    coords = [iv.coords for iv in incs]
+    lookup = None
+    if denom.bit_length() <= _LOOKUP_BITS:
+        # the increment each getrandbits value draws, 0 for a redraw
+        lookup = [bisect_right(cum, r) for r in range(denom)]
+        lookup += [0] * ((1 << denom.bit_length()) - denom)
+    # coordinate i of the 1-based increment j is columns[i][j]
+    columns = [[0, *col] for col in zip(*(iv.coords for iv in incs))]
     position = [0] * dim
     visits = 0
     last_visit = None
     trace = [WalkState(step=0, position=tuple(position))]
-    randrange = rng.randrange
-    for n in range(1, steps + 1):
-        step_vec = coords[bisect_right(cum, randrange(denom))]
-        for i in range(dim):
-            position[i] += step_vec[i]
-        if all(x >= 0 for x in position):
-            visits += 1
-            last_visit = n
-        if n % trace_every == 0:
-            trace.append(WalkState(step=n, position=tuple(position)))
+    getrandbits = rng.getrandbits
+    for start in range(0, steps, _BLOCK):
+        size = min(_BLOCK, steps - start)
+        picks = _randbelow_block(getrandbits, denom, size, lookup)
+        if lookup is None:
+            picks = list(map(bisect_right, repeat(cum), picks))
+        paths = [
+            list(accumulate(map(col.__getitem__, picks), initial=x))[1:]
+            for col, x in zip(columns, position)
+        ]
+        # a coordinate below 0 all block long rules out every visit, and a
+        # block whose coordinates all stay at 0 or above visits every step
+        if min(map(max, paths), default=0) >= 0:
+            if min(map(min, paths), default=0) >= 0:
+                visits += size
+                last_visit = start + size
+            else:
+                # min() of a single int would try to iterate it
+                lows = paths[0] if dim == 1 else map(min, *paths)
+                hits = list(map(ge, lows, repeat(0)))
+                if True in hits:
+                    visits += hits.count(True)
+                    last_visit = start + size - hits[::-1].index(True)
+        first = (start // trace_every + 1) * trace_every
+        states = zip(*paths) if dim else repeat(())
+        trace += map(
+            WalkState,
+            range(first, start + size + 1, trace_every),
+            islice(states, first - start - 1, None, trace_every),
+        )
+        position = [path[-1] for path in paths]
     return WalkResult(
         steps=steps,
         orthant_visits=visits,

@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -8,7 +10,11 @@ from meansets.graphs import integer_line, path_graph, star_graph
 from meansets.measures import AtomicMeasure
 from meansets.meanset import mean_set_exact, weight
 from meansets.multivertex import (
+    _BLOCK,
     IncrementVector,
+    WalkResult,
+    WalkState,
+    _randbelow_block,
     dimension_invariance_check,
     first_moment,
     genuine_dimension,
@@ -40,6 +46,46 @@ def rational_rank(rows: list[list[int]]) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], head)]
         rank += 1
     return rank
+
+
+def reference_walk(incs, steps, rng, trace_every=100):
+    """Independent oracle: the walk one randrange call per step."""
+    dim = len(incs[0].coords)
+    denom = lcm(*(x.probability.denominator for x in incs))
+    cum = []
+    acc = 0
+    for x in incs:
+        acc += int(x.probability * denom)
+        cum.append(acc)
+    position = [0] * dim
+    visits = 0
+    last_visit = None
+    trace = [WalkState(step=0, position=tuple(position))]
+    for n in range(1, steps + 1):
+        step_vec = incs[bisect_right(cum, rng.randrange(denom))].coords
+        for i in range(dim):
+            position[i] += step_vec[i]
+        if all(x >= 0 for x in position):
+            visits += 1
+            last_visit = n
+        if n % trace_every == 0:
+            trace.append(WalkState(step=n, position=tuple(position)))
+    return WalkResult(
+        steps=steps,
+        orthant_visits=visits,
+        last_visit=last_visit,
+        final_position=tuple(position),
+        trace=tuple(trace),
+    )
+
+
+def random_increments(rng, dim, max_weight):
+    """Seeded increment set; weights up to max_weight set the denominator."""
+    weights = [rng.randint(1, max_weight) for _ in range(rng.randint(1, 6))]
+    total = sum(weights)
+    return [
+        iv([rng.randint(-4, 4) for _ in range(dim)], w, total) for w in weights
+    ]
 
 
 def iv(coords, p, q=1):
@@ -106,6 +152,20 @@ class TestGenuineDimension:
             mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             total = Fraction(1, len(mat))
             incs = [iv(r, total) for r in mat]
+            assert genuine_dimension(incs) == rational_rank(mat)
+
+    def test_rank_deficient_matches_rational_oracle(self):
+        # rows drawn as integer combinations of fewer generators, so the
+        # rank is often below min(rows, cols)
+        rng = random.Random(654)
+        for _ in range(300):
+            cols = rng.randint(1, 6)
+            gens = [[rng.randint(-5, 5) for _ in range(cols)] for _ in range(rng.randint(1, 3))]
+            mat = [
+                [sum(rng.randint(-3, 3) * g[j] for g in gens) for j in range(cols)]
+                for _ in range(rng.randint(1, 6))
+            ]
+            incs = [iv(r, 1, len(mat)) for r in mat]
             assert genuine_dimension(incs) == rational_rank(mat)
 
     def test_base_invariance_on_random_instances(self):
@@ -215,6 +275,24 @@ class TestSimulateWalk:
                 late += 1
         assert late >= 80
 
+    def test_dimension_zero_visits_every_step(self):
+        # path(3) with uniform masses has the singleton mean-set {1}
+        g = path_graph(3)
+        mu = AtomicMeasure.uniform([0, 1, 2])
+        incs = increments(g, mu, 1, [])
+        res = simulate_walk(incs, 2500, random.Random(2), trace_every=1000)
+        assert res.orthant_visits == 2500
+        assert res.last_visit == 2500
+        assert res.final_position == ()
+        assert [s.step for s in res.trace] == [0, 1000, 2000]
+        assert all(s.position == () for s in res.trace)
+
+    def test_trace_every_below_one_rejected(self):
+        incs = [iv((1,), 1, 2), iv((-1,), 1, 2)]
+        for bad in (0, -1):
+            with pytest.raises(ValueError, match="trace_every"):
+                simulate_walk(incs, 10, random.Random(0), trace_every=bad)
+
     def test_trace_thinning(self):
         incs = [iv((1,), 1, 2), iv((-1,), 1, 2)]
         res = simulate_walk(incs, 1000, random.Random(3), trace_every=100)
@@ -245,3 +323,34 @@ class TestSimulateWalk:
                 seen_neg |= position < 0
                 seen_zero |= position == 0
         assert seen_pos and seen_neg and seen_zero
+
+
+@pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("dim", range(6))
+def test_walk_matches_per_step_reference(dim, steps):
+    # small weights give a tabulated draw, large ones (denominators past
+    # 2**12) the bisection path; the generator must end in the same state
+    rng = random.Random(1000 * dim + steps)
+    for max_weight in (9, 10**6):
+        for trace_every in (1, 3, 100, steps + 1):
+            incs = random_increments(rng, dim, max_weight)
+            seed = rng.randrange(2**32)
+            ref_rng, rng_under_test = random.Random(seed), random.Random(seed)
+            expected = reference_walk(incs, steps, ref_rng, trace_every)
+            assert simulate_walk(incs, steps, rng_under_test, trace_every) == expected
+            assert rng_under_test.getstate() == ref_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 8, 1000])
+def test_block_draw_reproduces_randrange(n):
+    k = n.bit_length()
+    shifted = list(range(1, n + 1)) + [0] * ((1 << k) - n)
+    for seed in range(5):
+        ref = random.Random(seed)
+        expected = [ref.randrange(n) for _ in range(3000)]
+        rng = random.Random(seed)
+        assert _randbelow_block(rng.getrandbits, n, 3000) == expected
+        assert rng.getstate() == ref.getstate()
+        rng = random.Random(seed)
+        assert _randbelow_block(rng.getrandbits, n, 3000, shifted) == [r + 1 for r in expected]
+        assert rng.getstate() == ref.getstate()
