@@ -27,8 +27,9 @@ class DescentStepLimitError(MeansetsError):
 
 
 class NotATreeError(MeansetsError):
-    """Direct descent was asked to solve on an explicit graph with cycles,
-    where a local minimum of the weight need not be a global one."""
+    """Direct descent was asked to solve on a graph that is not a tree
+    (explicit with cycles, or implicit and not declared a tree), where a
+    local minimum of the weight need not be a global one."""
 
 
 class NotMeanSetError(MeansetsError):

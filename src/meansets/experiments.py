@@ -61,7 +61,7 @@ class ExperimentConfig:
             raise ValueError(f"unknown output format {self.fmt!r}")
 
 
-@dataclass
+@dataclass(slots=True)
 class CellResult:
     """Displacement histograms of one (rank, L, n) cell."""
 

@@ -265,7 +265,7 @@ class CayleyGraph(ImplicitGraph):
 
     Vertex ids are serialized reduced words; for rank <= 26 neighbor and
     distance computations work directly on the strings.  The graph is a
-    2r-regular tree.
+    2r-regular tree, rooted at the identity by `prefixes`.
     """
 
     def __init__(self, rank: int):
@@ -273,19 +273,16 @@ class CayleyGraph(ImplicitGraph):
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self.empty_id = empty_spelling(rank)
+        self._letters = None
         if rank <= 26:
             alphabet = [chr(ord("a") + i) for i in range(rank)]
             self._letters = tuple(alphabet + [c.upper() for c in alphabet])
-            neighbor_fn = self._string_neighbors
-            distance_fn = self._string_distance
-        else:
-            neighbor_fn = self._word_neighbors
-            distance_fn = self._word_distance
-        super().__init__(
-            neighbor_fn, distance_fn=distance_fn, is_tree=True, name=f"F{rank}"
-        )
+        super().__init__(None, is_tree=True, name=f"F{rank}")
 
-    def _string_neighbors(self, v: str) -> tuple:
+    def neighbors(self, v: str) -> tuple:
+        if self._letters is None:
+            w = word_from_str(v, self.rank)
+            return tuple(word_to_str(u) for u in cayley_neighbors(w))
         body = "" if v == self.empty_id else v
         inv_last = body[-1].translate(_CASE_FLIP) if body else ""
         out = []
@@ -296,7 +293,9 @@ class CayleyGraph(ImplicitGraph):
                 out.append(body + c)
         return tuple(out)
 
-    def _string_distance(self, a: str, b: str) -> int:
+    def distance(self, a: str, b: str) -> int:
+        if self._letters is None:
+            return fg_distance(word_from_str(a, self.rank), word_from_str(b, self.rank))
         if a == b:
             return 0
         empty = self.empty_id
@@ -306,12 +305,15 @@ class CayleyGraph(ImplicitGraph):
             return len(a)
         return len(a) + len(b) - 2 * _str_lcp(a, b)
 
-    def _word_neighbors(self, v: str) -> tuple:
-        w = word_from_str(v, self.rank)
-        return tuple(word_to_str(u) for u in cayley_neighbors(w))
-
-    def _word_distance(self, a: str, b: str) -> int:
-        return fg_distance(word_from_str(a, self.rank), word_from_str(b, self.rank))
+    def prefixes(self, v: str) -> list:
+        """Ids of the vertices on the geodesic from the identity to v, in
+        order: the identity left out, v itself last (empty for the identity)."""
+        if v == self.empty_id:
+            return []
+        if self._letters is not None:
+            return [v[:k] for k in range(1, len(v) + 1)]
+        tokens = v.split()
+        return [" ".join(tokens[:k]) for k in range(1, len(tokens) + 1)]
 
     def id_of(self, w: ReducedWord) -> str:
         if w.rank != self.rank:

@@ -9,10 +9,12 @@ cover the three graph shapes:
 
   * mean_set_exact     -- full scan of a finite explicit graph, scored from
                           one BFS per atom;
-  * mean_set_tree      -- direct descent plus an equal-weight flood fill,
-                          exact on trees (the weight is convex along tree
-                          paths, so local minima are global and the argmin
-                          set is connected);
+  * mean_set_tree      -- exact on trees: on free-group Cayley graphs a
+                          scan of the atoms' prefix trie, every node scored
+                          by one reroot pass; on other trees direct descent
+                          plus an equal-weight flood fill (the weight is
+                          convex along tree paths, so local minima are
+                          global and the argmin set is connected);
   * mean_set_bounded   -- scan of a ball that provably contains the argmin,
                           for implicit graphs that are not trees.
 
@@ -32,6 +34,7 @@ from .errors import (
     UnreachableAtomError,
     UnreachableVertexError,
 )
+from .freegroup import CayleyGraph
 from .graphs import ExplicitGraph, Graph
 from .measures import AtomicMeasure, Sample, empirical
 
@@ -209,6 +212,55 @@ def _equal_weight_region(g: Graph, f, seed_vertex, value, cache: dict) -> set:
     return region
 
 
+def _prefix_trie_argmin(g: CayleyGraph, denom: int, nums: dict, c: int) -> MeanSetResult:
+    """Exact argmin over the prefix trie of the atoms of a free-group measure.
+
+    The trie holds every vertex on a geodesic from the identity to an atom,
+    so it contains the convex hull of the support; a vertex off the hull
+    weighs strictly more than its projection onto it, so the scan is
+    exhaustive.  One pass over the atoms' prefixes gives each node its
+    subtree mass M and subtree first moment S1 (the mass-weighted distance
+    to the atoms below it); then, from the identity, with T the total mass,
+
+        W1(child) = W1(parent) + T - 2 M(child)
+        W2(child) = W2(parent) + T + 2 W1(parent) - 4 (S1(child) + M(child)),
+
+    so every node is scored with O(sum of |atom|) dictionary operations
+    (Goldman 1971, extended to squares).
+    """
+    root = g.empty_id
+    mass: dict = {}
+    moment: dict = {}
+    parent: dict = {}  # insertion order puts each parent before its children
+    total = w1 = w2 = 0
+    for s, m in nums.items():
+        path = g.prefixes(s)
+        n = len(path)
+        total += m
+        w1 += m * n
+        w2 += m * n * n
+        up = root
+        for v in path:
+            n -= 1
+            if v in mass:
+                mass[v] += m
+                moment[v] += m * n
+            else:
+                mass[v] = m
+                moment[v] = m * n
+                parent[v] = up
+            up = v
+    first = {root: w1}
+    for v, p in parent.items():
+        first[v] = first[p] + total - 2 * mass[v]
+    weights = first
+    if c == 2:
+        weights = {root: w2}
+        for v, p in parent.items():
+            weights[v] = weights[p] + total + 2 * first[p] - 4 * (moment[v] + mass[v])
+    return _argmin(weights, weights.__getitem__, denom, c, "descent")
+
+
 def mean_set_tree(
     g: Graph,
     mu: AtomicMeasure,
@@ -216,32 +268,38 @@ def mean_set_tree(
     start=None,
     max_steps: int = DEFAULT_STEP_LIMIT,
 ) -> MeanSetResult:
-    """Mean-set via direct descent, exact on trees.
+    """Mean-set of a measure on a tree, exact.
 
-    The descent starts at the heaviest atom (ties broken by vertex order) so
-    the walk stays inside the convex hull of the support.  On a tree the
-    weight is convex along paths, hence the local minimizer found is global
-    and the full argmin set is the connected equal-weight region around it;
-    for class 2 that region has at most two (adjacent) vertices.  On graphs
-    with cycles a local minimum need not be global, so an explicit graph that
-    is not a tree raises NotATreeError; on an implicit graph not declared a
-    tree the result is only a local minimum.
+    On a free-group Cayley graph every vertex of the prefix trie of the
+    atoms is scored (see `_prefix_trie_argmin`) and `steps` is the number
+    of nodes scored; `start` and `max_steps` do not apply there.
+
+    On other trees the solver runs direct descent, from `start` or else the
+    heaviest atom (ties broken by vertex order), so the walk stays inside
+    the convex hull of the support, and `steps` counts the descent's moves.
+    The weight is convex along tree paths, hence the local minimizer found
+    is global and the full argmin set is the connected equal-weight region
+    around it; for class 2 that region has at most two (adjacent) vertices.
+
+    On a graph with cycles a local minimum need not be global, so any graph
+    whose `is_tree` is false, explicit or implicit, raises NotATreeError.
     """
     _check_class(c)
-    if g.is_explicit and not g.is_tree:
-        raise NotATreeError("descent is exact only on trees; this graph has cycles")
-    support = mu.support()
-    if len(support) == 1:
+    if not g.is_tree:
+        raise NotATreeError("descent is exact only on trees; this graph is not a tree")
+    denom, nums = mu.numerators()
+    if len(nums) == 1:
         return MeanSetResult(
-            vertices=frozenset(support),
+            vertices=frozenset(nums),
             min_weight=Fraction(0),
             class_c=c,
             method="descent",
             steps=0,
         )
+    if isinstance(g, CayleyGraph):
+        return _prefix_trie_argmin(g, denom, nums, c)
     if start is None:
-        start = min(support, key=lambda v: (-mu[v], v))
-    denom, nums = mu.numerators()
+        start = min(nums, key=lambda v: (-nums[v], v))
     f = _weight_fn(g.distance, nums, c)
     v, steps, cache = _descend(g, f, start, max_steps)
     best = cache[v]
@@ -277,8 +335,8 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
             method="bounded",
             steps=0,
         )
-    v = min(support, key=lambda s: (-mu[s], s))
     denom, nums = mu.numerators()
+    v = min(support, key=lambda s: (-nums[s], s))
     dist_to_atom = {s: g.distance(v, s) for s in support}
     total = sum(dist_to_atom[s] ** c * m for s, m in nums.items())
     acc = 0

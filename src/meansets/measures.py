@@ -12,16 +12,21 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import MeasureFormatError, RankMismatchError
 
 
 class AtomicMeasure:
-    """Finitely supported probability measure with exact rational weights."""
+    """Finitely supported probability measure with exact rational weights.
 
-    __slots__ = ("_atoms", "_inversion")
+    Stored as integer numerators over the common denominator of the
+    weights, the least one (so the representation is unique); weights are
+    read out as Fractions.
+    """
+
+    __slots__ = ("_denom", "_nums", "_inversion")
 
     def __init__(self, atoms: Mapping):
         cleaned: dict = {}
@@ -38,73 +43,96 @@ class AtomicMeasure:
             raise ValueError("measure must have nonempty support")
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
-        self._atoms = dict(sorted(cleaned.items()))
+        denom = lcm(*(w.denominator for w in cleaned.values()))
+        self._set(denom, {v: int(w * denom) for v, w in sorted(cleaned.items())})
+
+    def _set(self, denom: int, nums: dict) -> None:
+        self._denom = denom
+        self._nums = nums
         self._inversion = None
 
     @classmethod
     def from_masses(cls, masses: Mapping) -> "AtomicMeasure":
-        """Normalize arbitrary positive masses by their total."""
-        total = sum(Fraction(m) for m in masses.values())
+        """Normalize arbitrary positive masses by their total.
+
+        Integer masses skip Fraction arithmetic: the denominator is
+        total // gcd(masses) and each numerator mass // gcd(masses).
+        """
+        if not all(isinstance(m, int) for m in masses.values()):
+            total = sum(Fraction(m) for m in masses.values())
+            if total <= 0:
+                raise ValueError("total mass must be positive")
+            return cls({v: Fraction(m) / total for v, m in masses.items()})
+        total = sum(masses.values())
         if total <= 0:
             raise ValueError("total mass must be positive")
-        return cls({v: Fraction(m) / total for v, m in masses.items()})
+        for v, m in masses.items():
+            if m < 0:
+                raise ValueError(f"negative weight {Fraction(m, total)} at {v!r}")
+        g = gcd(*masses.values())
+        mu = object.__new__(cls)
+        mu._set(total // g, {v: m // g for v, m in sorted(masses.items()) if m})
+        return mu
 
     @classmethod
     def point_mass(cls, v) -> "AtomicMeasure":
-        return cls({v: Fraction(1)})
+        return cls.from_masses({v: 1})
 
     @classmethod
     def uniform(cls, vertices: Iterable) -> "AtomicMeasure":
         vs = list(vertices)
         if not vs:
             raise ValueError("uniform measure needs at least one vertex")
-        w = Fraction(1, len(vs))
-        return cls({v: w for v in vs})
+        return cls.from_masses({v: 1 for v in vs})
 
     def __getitem__(self, v) -> Fraction:
-        return self._atoms.get(v, Fraction(0))
+        return Fraction(self._nums.get(v, 0), self._denom)
 
     def __contains__(self, v) -> bool:
-        return v in self._atoms
+        return v in self._nums
 
     def __len__(self) -> int:
-        return len(self._atoms)
+        return len(self._nums)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, AtomicMeasure) and self._atoms == other._atoms
+        return (
+            isinstance(other, AtomicMeasure)
+            and self._denom == other._denom
+            and self._nums == other._nums
+        )
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{v!r}: {w}" for v, w in self._atoms.items())
+        inner = ", ".join(f"{v!r}: {w}" for v, w in self.items())
         return f"AtomicMeasure({{{inner}}})"
 
-    def items(self):
-        return self._atoms.items()
+    def items(self) -> list:
+        """(vertex, Fraction weight) pairs in vertex order."""
+        d = self._denom
+        return [(v, Fraction(n, d)) for v, n in self._nums.items()]
 
     def support(self) -> tuple:
-        return tuple(self._atoms)
+        return tuple(self._nums)
 
     def numerators(self) -> tuple[int, dict]:
         """Common denominator D and integer numerators summing to D.
 
         Weight computations run on these integers and divide once at the end.
         """
-        denom = lcm(*(w.denominator for w in self._atoms.values()))
-        return denom, {v: int(w * denom) for v, w in self._atoms.items()}
+        return self._denom, dict(self._nums)
 
     def _cumulative(self):
         if self._inversion is None:
-            denom, nums = self.numerators()
-            atoms = list(nums)
+            atoms = list(self._nums)
             cum = []
             acc = 0
-            for v in atoms:
-                acc += nums[v]
+            for n in self._nums.values():
+                acc += n
                 cum.append(acc)
-            self._inversion = (denom, atoms, cum)
+            self._inversion = (self._denom, atoms, cum)
         return self._inversion
 
     def total_variation(self, other: "AtomicMeasure") -> Fraction:
-        keys = set(self._atoms) | set(other._atoms)
+        keys = set(self._nums) | set(other._nums)
         return sum((abs(self[v] - other[v]) for v in keys), Fraction(0)) / 2
 
 
@@ -155,8 +183,7 @@ def draw(mu: AtomicMeasure, n: int, rng: random.Random) -> Sample:
 
 def empirical(s: Sample) -> AtomicMeasure:
     """The relative-frequency measure count/n of a sample."""
-    n = s.n
-    return AtomicMeasure({v: Fraction(c, n) for v, c in s.counts.items()})
+    return AtomicMeasure.from_masses(s.counts)
 
 
 def shift(mu: AtomicMeasure, g) -> AtomicMeasure:

@@ -97,6 +97,15 @@ class TestTableExperiment:
         assert len(payload["cells"]) == 1
         assert sum(payload["cells"][0]["histogram"].values()) == 10
 
+    def test_seed_42_table_bytes_pinned(self):
+        # the digest bench/workloads.json pins for table-f4, seed 42
+        import hashlib
+
+        text = table_to_csv(run_table_experiment(ExperimentConfig(trials=10, seed=42)))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "6e732a2f3709f41582e13dce61955d8815d6054b23b7bb95ef88f113948966a2"
+        )
+
     def test_parallel_run_matches_sequential(self):
         cfg = ExperimentConfig(rank=2, lengths=(3, 4), samples=(2, 4), trials=25, seed=13)
         assert run_table_experiment(cfg, workers=2) == run_table_experiment(cfg)

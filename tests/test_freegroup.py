@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from collections import Counter
 
 import pytest
@@ -261,3 +263,26 @@ class TestCayleyGraph:
         for _ in range(50):
             w = word_to_str(random_word(rng, 4, 5))
             assert len(g.neighbors(w)) == 8
+
+    def test_prefixes_are_the_geodesic_from_the_identity(self):
+        rng = random.Random(58)
+        for rank in (1, 2, 5, 27):
+            g = CayleyGraph(rank)
+            assert g.prefixes(g.empty_id) == []
+            for _ in range(40):
+                w = random_word(rng, rank, 6)
+                expected = [word_to_str(ReducedWord(rank, w.letters[:k]))
+                            for k in range(1, len(w) + 1)]
+                assert g.prefixes(word_to_str(w)) == expected
+
+    def test_freed_without_the_cycle_collector(self):
+        gc.disable()
+        try:
+            g = CayleyGraph(4)
+            g.neighbors("ab")
+            g.distance("ab", "aC")
+            ref = weakref.ref(g)
+            del g
+            assert ref() is None
+        finally:
+            gc.enable()

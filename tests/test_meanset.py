@@ -6,6 +6,7 @@ import pytest
 from meansets.errors import DescentStepLimitError, NotATreeError, UnreachableAtomError
 from meansets.freegroup import (
     CayleyGraph,
+    ReducedWord,
     enumerate_ball,
     fg_distance,
     multiply,
@@ -353,6 +354,11 @@ class TestMeanSetTree:
         with pytest.raises(NotATreeError):
             mean_set_tree(g, mu, 2)
         assert mean_set_exact(g, mu, 2).vertices == frozenset([1, 2])
+        # the same graph behind a neighbor oracle, not declared a tree
+        with pytest.raises(NotATreeError):
+            mean_set_tree(ImplicitGraph(g.neighbors, is_tree=False), mu, 2)
+        with pytest.raises(NotATreeError):
+            mean_set_tree(integer_grid(), AtomicMeasure.uniform([(0, 0), (1, 1)]), 2)
 
     def test_single_atom_short_circuit(self):
         g = CayleyGraph(2)
@@ -375,6 +381,92 @@ class TestMeanSetTree:
                     by_ball = mean_set_bounded(g, mu, c)
                     assert by_tree.vertices == by_ball.vertices
                     assert by_tree.min_weight == by_ball.min_weight
+
+
+def reference_descent(g, mu: AtomicMeasure, c: int):
+    """Direct descent from the heaviest atom, then the equal-weight flood
+    fill, on the graph's own distance and neighbors: the free-group solver
+    the prefix-trie scan replaced, kept as a reference."""
+    cache: dict = {}
+
+    def f(v):
+        if v not in cache:
+            cache[v] = sum((Fraction(g.distance(s, v)) ** c * mu[s] for s in mu.support()),
+                           Fraction(0))
+        return cache[v]
+
+    v = min(mu.support(), key=lambda s: (-mu[s], s))
+    while True:
+        u = min(g.neighbors(v), key=lambda u: (f(u), u))
+        if f(u) >= f(v):
+            break
+        v = u
+    region = {v}
+    frontier = [v]
+    while frontier:
+        for u in g.neighbors(frontier.pop()):
+            if u not in region and f(u) == f(v):
+                region.add(u)
+                frontier.append(u)
+    return frozenset(region), f(v)
+
+
+def prefix_hull_scan(rank: int, mu: AtomicMeasure, c: int):
+    """Brute force over every prefix of every atom, on ReducedWords and the
+    word metric; also returns how many vertices were scanned."""
+    atoms = {word_from_str(s, rank): mu[s] for s in mu.support()}
+    hull = {ReducedWord(rank, w.letters[:k]) for w in atoms for k in range(len(w) + 1)}
+    weights = {
+        v: sum((Fraction(fg_distance(v, s)) ** c * p for s, p in atoms.items()), Fraction(0))
+        for v in hull
+    }
+    best = min(weights.values())
+    return frozenset(word_to_str(v) for v, w in weights.items() if w == best), best, len(hull)
+
+
+class TestFreeGroupPrefixTrie:
+    """The prefix-trie solver against descent and a brute-force hull scan."""
+
+    RANKS = (1, 2, 4, 5, 27)
+
+    def assert_agree(self, g, mu, c):
+        res = mean_set_tree(g, mu, c)
+        vertices, best, hull_size = prefix_hull_scan(g.rank, mu, c)
+        assert (res.vertices, res.min_weight) == (vertices, best)
+        assert (res.vertices, res.min_weight) == reference_descent(g, mu, c)
+        assert res.method == "descent"
+        assert res.steps == (0 if len(mu) == 1 else hull_size)
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_random_measures(self, rank):
+        rng = random.Random(8100 + rank)
+        g = CayleyGraph(rank)
+        for _ in range(25 if rank == 27 else 60):
+            mu = random_word_measure(rng, rank, max_atoms=6, max_len=8 if rank == 1 else 5)
+            for c in (1, 2):
+                self.assert_agree(g, mu, c)
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_point_masses_identity_atoms_and_ties(self, rank):
+        rng = random.Random(8200 + rank)
+        g = CayleyGraph(rank)
+        e = g.empty_id
+        for _ in range(10):
+            w = random_word(rng, rank, 5)
+            wid = word_to_str(w)
+            step = word_to_str(ReducedWord(rank, w.letters[:1]))
+            cases = [
+                AtomicMeasure.point_mass(wid),
+                AtomicMeasure.point_mass(e),
+                AtomicMeasure.from_masses({e: rng.randint(1, 9), wid: rng.randint(1, 9)}),
+                AtomicMeasure.from_masses({e: 1, step: 1}),
+            ]
+            for mu in cases:
+                for c in (1, 2):
+                    self.assert_agree(g, mu, c)
+            if len(w):
+                # two adjacent atoms of equal mass: both are the class-2 mean-set
+                assert mean_set_tree(g, cases[3], 2).vertices == frozenset([e, step])
 
 
 class TestSampleMeanSet:

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -39,6 +40,33 @@ class TestAtomicMeasure:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             AtomicMeasure({})
+
+    def test_integer_masses_match_the_fraction_path(self):
+        # same denominator (draw calls randrange on it) and numerators, so
+        # draw streams do not depend on how the masses were given
+        rng = random.Random(606)
+        for _ in range(300):
+            masses = {v: rng.randint(0, 40) * rng.choice((1, 2, 6, 35))
+                      for v in range(rng.randint(1, 7))}
+            total = sum(masses.values())
+            if total == 0:
+                continue
+            by_int = AtomicMeasure.from_masses(masses)
+            by_fraction = AtomicMeasure.from_masses({v: Fraction(m) for v, m in masses.items()})
+            denom = lcm(*(Fraction(m, total).denominator for m in masses.values() if m))
+            expected = {v: m * denom // total for v, m in masses.items() if m}
+            assert by_int.numerators() == by_fraction.numerators() == (denom, expected)
+            assert by_int == by_fraction
+            assert by_int.items() == by_fraction.items()
+            seed = rng.randrange(2**32)
+            assert draw(by_int, 40, random.Random(seed)) == draw(by_fraction, 40, random.Random(seed))
+
+    def test_integer_masses_validated(self):
+        with pytest.raises(ValueError):
+            AtomicMeasure.from_masses({0: 0, 1: 0})
+        with pytest.raises(ValueError):
+            AtomicMeasure.from_masses({0: 3, 1: -1})
+        assert AtomicMeasure.from_masses({0: 0, 1: 4}) == AtomicMeasure.point_mass(1)
 
 
 class TestDraw:
@@ -91,6 +119,8 @@ class TestEmpirical:
             counts = {i: rng.randint(1, 9) for i in range(rng.randint(1, 6))}
             mu = empirical(Sample(counts))
             assert sum(mu[v] for v in mu.support()) == 1
+            n = sum(counts.values())
+            assert mu == AtomicMeasure({v: Fraction(c, n) for v, c in counts.items()})
 
 
 class TestConvergence:
