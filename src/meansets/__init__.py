@@ -20,6 +20,7 @@ from .errors import (
     RankMismatchError,
     UnreachableAtomError,
     UnreachableVertexError,
+    VertexIdError,
 )
 from .freegroup import (
     CayleyGraph,

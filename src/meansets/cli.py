@@ -161,7 +161,8 @@ def _cmd_walk(args) -> int:
     incs = increments(g, mu, base, others, validate=False)
     hypotheses = positivity_hypotheses(g, mu, meanset, base, coeff_bound=args.coeff_bound)
     rng = random.Random(derive_seed(args.seed, "walk"))
-    walk = simulate_walk(incs, args.steps, rng)
+    # the payload reports no trace, so keep only the start and the end
+    walk = simulate_walk(incs, args.steps, rng, trace_every=args.steps)
     payload = {
         "mean_set": sorted(meanset),
         "base": base,

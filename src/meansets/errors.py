@@ -17,6 +17,11 @@ class RankMismatchError(MeansetsError):
     """Two free-group words (or a word and a measure) have different ranks."""
 
 
+class VertexIdError(MeansetsError):
+    """A vertex id is not the canonical id of any vertex of the graph (on a
+    free-group Cayley graph, a string that word_to_str does not produce)."""
+
+
 class UnreachableAtomError(MeansetsError):
     """A measure atom is not reachable from the vertex being weighted."""
 

@@ -18,9 +18,10 @@ graph layer can order and hash vertices without knowing about words.
 from __future__ import annotations
 
 import random
+import re
 from typing import Iterable, Iterator
 
-from .errors import RankMismatchError
+from .errors import RankMismatchError, VertexIdError
 from .graphs import ImplicitGraph
 
 
@@ -254,6 +255,22 @@ def _str_lcp(a: str, b: str) -> int:
     return lo
 
 
+def _id_pattern(rank: int) -> re.Pattern:
+    """Matches the ids word_to_str gives the nonempty reduced words of the
+    rank, except that a g/G token's index is not checked against the rank."""
+    if rank <= 26:
+        lower = "abcdefghijklmnopqrstuvwxyz"[:rank]
+        # each letter not followed by its inverse
+        return re.compile(
+            "(?:" + "|".join(f"{x}(?!{x.upper()})|{x.upper()}(?!{x})" for x in lower) + ")+"
+        )
+    # space-separated tokens, each not followed by its inverse
+    token = r"(?:g(?P<i>[1-9][0-9]*)(?! G(?P=i)\b)|G(?P<j>[1-9][0-9]*)(?! g(?P=j)\b))"
+    return re.compile(rf"(?:{token}(?: (?!\Z)|\Z))+")
+
+
+_INDEX = re.compile("[0-9]+")
+
 _CASE_FLIP = str.maketrans(
     "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
     "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
@@ -273,11 +290,23 @@ class CayleyGraph(ImplicitGraph):
             raise ValueError("rank must be >= 1")
         self.rank = rank
         self.empty_id = empty_spelling(rank)
+        self._id_match = _id_pattern(rank).fullmatch
         self._letters = None
         if rank <= 26:
             alphabet = [chr(ord("a") + i) for i in range(rank)]
             self._letters = tuple(alphabet + [c.upper() for c in alphabet])
         super().__init__(None, is_tree=True, name=f"F{rank}")
+
+    def _require_vertex(self, v) -> None:
+        """Reject an id that word_to_str does not produce: a foreign or
+        out-of-rank character or token, an unreduced pair, a second spelling
+        of the identity, or a malformed g/G token."""
+        if v == self.empty_id:
+            return
+        if isinstance(v, str) and self._id_match(v):
+            if self._letters is not None or max(map(int, _INDEX.findall(v))) <= self.rank:
+                return
+        raise VertexIdError(f"{v!r} is not the id of a reduced word of rank {self.rank}")
 
     def neighbors(self, v: str) -> tuple:
         if self._letters is None:
@@ -307,7 +336,9 @@ class CayleyGraph(ImplicitGraph):
 
     def prefixes(self, v: str) -> list:
         """Ids of the vertices on the geodesic from the identity to v, in
-        order: the identity left out, v itself last (empty for the identity)."""
+        order: the identity left out, v itself last (empty for the identity).
+        Raises VertexIdError if v is not the id of a reduced word."""
+        self._require_vertex(v)
         if v == self.empty_id:
             return []
         if self._letters is not None:

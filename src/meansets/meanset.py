@@ -272,7 +272,9 @@ def mean_set_tree(
 
     On a free-group Cayley graph every vertex of the prefix trie of the
     atoms is scored (see `_prefix_trie_argmin`) and `steps` is the number
-    of nodes scored; `start` and `max_steps` do not apply there.
+    of nodes scored; `start` and `max_steps` do not apply there.  An atom
+    that is not the id word_to_str gives a reduced word of the graph's
+    rank raises VertexIdError.
 
     On other trees the solver runs direct descent, from `start` or else the
     heaviest atom (ties broken by vertex order), so the walk stays inside
@@ -289,6 +291,7 @@ def mean_set_tree(
         raise NotATreeError("descent is exact only on trees; this graph is not a tree")
     denom, nums = mu.numerators()
     if len(nums) == 1:
+        g._require_vertex(*nums)
         return MeanSetResult(
             vertices=frozenset(nums),
             min_weight=Fraction(0),

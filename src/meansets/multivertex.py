@@ -20,9 +20,9 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, islice, product, repeat
+from itertools import accumulate, product, repeat
 from math import lcm
-from operator import ge
+from operator import lshift
 
 from .errors import NotMeanSetError
 from .graphs import Graph
@@ -30,7 +30,6 @@ from .measures import AtomicMeasure
 from .meanset import measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
-_LOOKUP_BITS = 12  # simulate_walk tabulates draws below 2**12
 
 
 @dataclass(frozen=True)
@@ -239,22 +238,44 @@ def positivity_hypotheses(
     )
 
 
-def _randbelow_block(getrandbits, n: int, count: int, lookup: list | None = None) -> list:
-    """lookup[r] for each of the next count values r of randrange(n).
+def _increment_sampler(getrandbits, cum: list):
+    """draw(count): the 1-based increments bisect_right(cum, r) of the next
+    count values r of randrange(cum[-1]), as bytes or a list of ints.
 
     random.Random.randrange(n) draws getrandbits(k), k = n.bit_length(),
     until a value falls below n, so successive calls return the accepted
-    values of one stream of getrandbits(k) draws.  Only as many draws as
-    values are still missing are made, so the generator ends where count
-    calls of randrange(n) leave it.  lookup has 2**k entries, nonzero below
-    n and 0 from n on; without it the values themselves are returned.
+    values of one stream of getrandbits(k) draws.  getrandbits(k) for
+    k <= 32 is the top k bits of one 32-bit word, and getrandbits(32 * m)
+    is m such words, the first one lowest.  For k <= 8 a call takes m words
+    in one getrandbits call and maps the top byte of each through a table
+    (0 for a redraw); larger k draw getrandbits(k) one at a time and
+    bisect.  Either way no call asks for more draws than values are still
+    missing, so the generator ends where count calls of randrange leave it.
     """
+    n = cum[-1]
     k = n.bit_length()
-    out: list = []
-    while len(out) < count:
-        raw = map(getrandbits, repeat(k, count - len(out)))
-        out += filter(None, map(lookup.__getitem__, raw)) if lookup else filter(n.__gt__, raw)
-    return out
+    if k <= 8:
+        table = bytes(
+            bisect_right(cum, r) if r < n else 0 for r in (b >> 8 - k for b in range(256))
+        )
+
+        def draw(count: int) -> bytes:
+            out = b""
+            while len(out) < count:
+                m = count - len(out)
+                top = getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+                out += top.translate(table).replace(b"\0", b"")
+            return out
+
+    else:
+
+        def draw(count: int) -> list:
+            out: list = []
+            while len(out) < count:
+                out += filter(n.__gt__, map(getrandbits, repeat(k, count - len(out))))
+            return list(map(bisect_right, repeat(cum), out))
+
+    return draw
 
 
 def simulate_walk(
@@ -269,11 +290,18 @@ def simulate_walk(
     visit count and last-visit step are exact over all steps.  Recurrence is
     an asymptotic property, so the result is descriptive only.
 
-    Steps run in blocks of _BLOCK: a block draws its increments with the
-    getrandbits calls that rng.randrange(denom) makes, advances each
-    coordinate by a running sum and reads the visits from the per-step
-    minimum over coordinates.  The result, and the state rng is left in,
-    equal those of one randrange call per step, in O(_BLOCK * dim) memory.
+    A position is one int: coordinates 0..dim-2 sit in width-bit fields
+    biased by 2**(width-1), the last coordinate unbiased on top, and width
+    exceeds the bit length of steps * max|coord|, so no field ever carries
+    into the next and the sign of the int is the sign of the last
+    coordinate.  A step visits the orthant iff the int is nonnegative and
+    every field's top bit is set: one `&` with a mask of those bits plus a
+    bit above the top field, which only a negative int has.  Steps run in
+    blocks of _BLOCK: a block draws its increments with the getrandbits
+    calls that rng.randrange(denom) makes (see _increment_sampler), adds
+    up the packed increments in one running sum and unpacks positions only
+    for the trace and the end.  The result, and the state rng is left in,
+    equal those of one randrange call per step, in O(_BLOCK) memory.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
@@ -281,59 +309,53 @@ def simulate_walk(
         raise ValueError("need trace_every >= 1")
     if not incs:
         raise ValueError("need at least one increment vector")
+    if any(iv.probability < 0 for iv in incs):
+        raise ValueError("increment probabilities must be nonnegative")
     dim = len(incs[0].coords)
+    incs = [iv for iv in incs if iv.probability]  # never drawn, so at most denom remain
     denom = lcm(*(iv.probability.denominator for iv in incs))
     cum = [0]  # bisect_right(cum, r) is the 1-based increment drawn by r
     for iv in incs:
         cum.append(cum[-1] + int(iv.probability * denom))
     if cum[-1] != denom:
         raise ValueError("increment probabilities must sum to 1")
-    lookup = None
-    if denom.bit_length() <= _LOOKUP_BITS:
-        # the increment each getrandbits value draws, 0 for a redraw
-        lookup = [bisect_right(cum, r) for r in range(denom)]
-        lookup += [0] * ((1 << denom.bit_length()) - denom)
-    # coordinate i of the 1-based increment j is columns[i][j]
-    columns = [[0, *col] for col in zip(*(iv.coords for iv in incs))]
-    position = [0] * dim
+    draw = _increment_sampler(rng.getrandbits, cum)
+    reach = steps * max((abs(x) for iv in incs for x in iv.coords), default=0)
+    width = reach.bit_length() + 1
+    shifts = range(0, width * dim, width)
+    bias = 1 << width - 1
+    field = (1 << width) - 1
+    low, top = shifts[:-1], shifts[-1:]  # both empty in dimension 0
+    high = sum(bias << s for s in low)  # the origin: every field at its bias
+    mask = high | 1 << width * dim  # q & mask == high iff no coordinate is negative
+    packed = [0, *(sum(map(lshift, iv.coords, shifts)) for iv in incs)]
+
+    def position(q: int) -> tuple:
+        return tuple([(q >> s & field) - bias for s in low] + [q >> s for s in top])
+
+    q = high
     visits = 0
     last_visit = None
-    trace = [WalkState(step=0, position=tuple(position))]
-    getrandbits = rng.getrandbits
+    trace = [WalkState(step=0, position=position(q))]
     for start in range(0, steps, _BLOCK):
         size = min(_BLOCK, steps - start)
-        picks = _randbelow_block(getrandbits, denom, size, lookup)
-        if lookup is None:
-            picks = list(map(bisect_right, repeat(cum), picks))
-        paths = [
-            list(accumulate(map(col.__getitem__, picks), initial=x))[1:]
-            for col, x in zip(columns, position)
-        ]
-        # a coordinate below 0 all block long rules out every visit, and a
-        # block whose coordinates all stay at 0 or above visits every step
-        if min(map(max, paths), default=0) >= 0:
-            if min(map(min, paths), default=0) >= 0:
-                visits += size
-                last_visit = start + size
-            else:
-                # min() of a single int would try to iterate it
-                lows = paths[0] if dim == 1 else map(min, *paths)
-                hits = list(map(ge, lows, repeat(0)))
-                if True in hits:
-                    visits += hits.count(True)
-                    last_visit = start + size - hits[::-1].index(True)
+        qs = list(accumulate(map(packed.__getitem__, draw(size)), initial=q))
+        del qs[0]
+        flags = list(map(mask.__and__, qs))
+        hits = flags.count(high)
+        if hits:
+            visits += hits
+            last_visit = start + size - flags[::-1].index(high)
         first = (start // trace_every + 1) * trace_every
-        states = zip(*paths) if dim else repeat(())
-        trace += map(
-            WalkState,
-            range(first, start + size + 1, trace_every),
-            islice(states, first - start - 1, None, trace_every),
-        )
-        position = [path[-1] for path in paths]
+        trace += [
+            WalkState(step=n, position=position(qs[n - start - 1]))
+            for n in range(first, start + size + 1, trace_every)
+        ]
+        q = qs[-1]
     return WalkResult(
         steps=steps,
         orthant_visits=visits,
         last_visit=last_visit,
-        final_position=tuple(position),
+        final_position=position(q),
         trace=tuple(trace),
     )

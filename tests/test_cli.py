@@ -1,8 +1,12 @@
 import json
+import random
+from fractions import Fraction
 
 import pytest
 
 from meansets.cli import main
+from meansets.experiments import derive_seed
+from meansets.multivertex import IncrementVector, simulate_walk
 
 
 @pytest.fixture
@@ -66,6 +70,16 @@ class TestMeansetCommand:
         assert code == 0
         assert json.loads(out)["vertices"] == ["e"]
 
+    @pytest.mark.parametrize("rank, atom", [(4, "aA"), (4, "a%"), (4, "f"), (27, "g28")])
+    def test_free_rank_non_canonical_atom(self, capsys, tmp_path, rank, atom):
+        measure = tmp_path / "mu.txt"
+        measure.write_text(f"e 1\n{atom} 1\n")
+        code, out, err = run_cli(
+            capsys, "meanset", "--free-rank", str(rank), "--measure", str(measure),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_exact_requires_explicit(self, capsys, tmp_path):
         measure = tmp_path / "mu.txt"
         measure.write_text("e 1\n")
@@ -123,6 +137,16 @@ class TestWalkCommand:
         assert payload["hypotheses"]["has_positive_vector"] is True
         assert payload["steps"] == 2000
         assert 0 <= payload["orthant_visits"] <= 2000
+        # the walk's statistics do not depend on how its trace is thinned
+        incs = [
+            IncrementVector(coords=(x,), probability=Fraction(1, 2), atoms=())
+            for x in (-3, 3)
+        ]
+        rng = random.Random(derive_seed(5, "walk"))
+        walk = simulate_walk(incs, 2000, rng)
+        assert (payload["orthant_visits"], payload["last_visit"]) == (
+            walk.orthant_visits, walk.last_visit
+        )
 
     def test_singleton_mean_set_walk(self, capsys, tmp_path):
         graph = tmp_path / "path.txt"

@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from meansets.errors import RankMismatchError
+from meansets.errors import RankMismatchError, VertexIdError
 from meansets.freegroup import (
     CayleyGraph,
     ReducedWord,
@@ -274,6 +274,32 @@ class TestCayleyGraph:
                 expected = [word_to_str(ReducedWord(rank, w.letters[:k]))
                             for k in range(1, len(w) + 1)]
                 assert g.prefixes(word_to_str(w)) == expected
+
+    @pytest.mark.parametrize(
+        "rank, vid",
+        [(4, "1"), (4, ""), (4, "aA"), (4, "Aa"), (4, "abBa"), (4, "ae"), (4, "a b"),
+         (4, "a%"), (4, 0), (1, "b"), (5, "eE"), (26, "zZ"), (27, "g28"), (27, "g0"),
+         (27, "g01"), (27, "g"), (27, "g3 G3"), (27, "G3 g3"), (27, "g1 g3 G3"),
+         (27, "g1  g2"), (27, "g1 "), (27, " g1"), (27, "a"), (27, "e")],
+    )
+    def test_prefixes_reject_non_canonical_ids(self, rank, vid):
+        # foreign characters, the other spelling of the identity, unreduced
+        # pairs and malformed or out-of-rank tokens name no vertex
+        with pytest.raises(VertexIdError):
+            CayleyGraph(rank).prefixes(vid)
+
+    @pytest.mark.parametrize(
+        "rank, vid",
+        [(4, "e"), (5, "1"), (5, "e"), (26, "zY"), (27, "1"), (27, "g27"),
+         (27, "g12 G1"), (27, "g1 G12"), (27, "g3 g3"), (30, "G30 g29")],
+    )
+    def test_prefixes_accept_canonical_ids(self, rank, vid):
+        g = CayleyGraph(rank)
+        assert g.prefixes(vid) == [
+            word_to_str(ReducedWord(rank, w.letters[:k]))
+            for w in [word_from_str(vid, rank)]
+            for k in range(1, len(w) + 1)
+        ]
 
     def test_freed_without_the_cycle_collector(self):
         gc.disable()

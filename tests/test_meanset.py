@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from meansets.errors import DescentStepLimitError, NotATreeError, UnreachableAtomError
+from meansets.errors import (
+    DescentStepLimitError,
+    NotATreeError,
+    UnreachableAtomError,
+    VertexIdError,
+)
 from meansets.freegroup import (
     CayleyGraph,
     ReducedWord,
@@ -467,6 +472,16 @@ class TestFreeGroupPrefixTrie:
             if len(w):
                 # two adjacent atoms of equal mass: both are the class-2 mean-set
                 assert mean_set_tree(g, cases[3], 2).vertices == frozenset([e, step])
+
+    @pytest.mark.parametrize(
+        "masses",
+        [{"1": 1, "a": 1}, {"aA": 1, "e": 1}, {"aA": 1}, {"ab": 1, "abBa": 2}, {"a": 1, "x": 1}],
+    )
+    def test_refuses_non_canonical_atoms(self, masses):
+        # "1" used to be scored as a one-letter word ({e} at weight 1, where
+        # the mean-set of e and a is {e, a} at 1/2) and "aA" as a two-letter one
+        with pytest.raises(VertexIdError):
+            mean_set_tree(CayleyGraph(4), AtomicMeasure.from_masses(masses), 2)
 
 
 class TestSampleMeanSet:

@@ -14,7 +14,7 @@ from meansets.multivertex import (
     IncrementVector,
     WalkResult,
     WalkState,
-    _randbelow_block,
+    _increment_sampler,
     dimension_invariance_check,
     first_moment,
     genuine_dimension,
@@ -325,32 +325,75 @@ class TestSimulateWalk:
         assert seen_pos and seen_neg and seen_zero
 
 
+def assert_matches_reference(incs, steps, seed, trace_every=100):
+    ref_rng, rng_under_test = random.Random(seed), random.Random(seed)
+    expected = reference_walk(incs, steps, ref_rng, trace_every)
+    assert simulate_walk(incs, steps, rng_under_test, trace_every) == expected
+    assert rng_under_test.getstate() == ref_rng.getstate()
+    return expected
+
+
 @pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
-@pytest.mark.parametrize("dim", range(6))
+@pytest.mark.parametrize("dim", range(7))
 def test_walk_matches_per_step_reference(dim, steps):
-    # small weights give a tabulated draw, large ones (denominators past
-    # 2**12) the bisection path; the generator must end in the same state
+    # small weights give denominators of at most 8 bits (the byte draw),
+    # large ones the bisection path; the generator must end in the same state
     rng = random.Random(1000 * dim + steps)
     for max_weight in (9, 10**6):
         for trace_every in (1, 3, 100, steps + 1):
             incs = random_increments(rng, dim, max_weight)
-            seed = rng.randrange(2**32)
-            ref_rng, rng_under_test = random.Random(seed), random.Random(seed)
-            expected = reference_walk(incs, steps, ref_rng, trace_every)
-            assert simulate_walk(incs, steps, rng_under_test, trace_every) == expected
-            assert rng_under_test.getstate() == ref_rng.getstate()
+            assert_matches_reference(incs, steps, rng.randrange(2**32), trace_every)
 
 
-@pytest.mark.parametrize("n", [1, 2, 6, 8, 1000])
+@pytest.mark.parametrize("magnitude", [1, 7, 10**6])
+@pytest.mark.parametrize("dim", range(1, 7))
+def test_walk_reaches_field_width_bound(dim, magnitude):
+    # one increment drawn every step: each coordinate ends at exactly
+    # +-steps * max|coord|, the extreme the packed fields are sized for
+    steps = 2 * _BLOCK + 1
+    for signs in ([1] * dim, [-1] * dim, [(-1) ** i for i in range(dim)]):
+        coords = [x * magnitude for x in signs]
+        expected = assert_matches_reference([iv(coords, 1)], steps, dim, trace_every=_BLOCK)
+        assert expected.final_position == tuple(steps * x for x in coords)
+        # a second, shorter increment keeps the drift one-sided
+        incs = [iv(coords, 1, 2), iv([x // 2 for x in coords], 1, 2)]
+        assert_matches_reference(incs, steps, dim + 1, trace_every=7)
+
+
+@pytest.mark.parametrize("denom", [1, 2, 255, 256, 257, 2**32 + 15, 2**64 + 13])
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_walk_denominators(dim, denom):
+    # denominators of at most 8 bits take the byte draw, 256 and up bisect,
+    # and past 2**32 every draw is a multi-word getrandbits call; weight 0
+    # (denominators 1 and 2) gives an increment that is never drawn
+    rng = random.Random(denom + dim)
+    weights = [1, denom // 2, denom - 1 - denom // 2]
+    incs = [iv([rng.randint(-4, 4) for _ in range(dim)], w, denom) for w in weights]
+    assert_matches_reference(incs, 2 * _BLOCK + 1, denom, trace_every=100)
+
+
+def test_walk_ignores_zero_probability_increments():
+    # more increments than a byte can index, all but two never drawn
+    incs = [iv((x, -x), 0) for x in range(300)] + [iv((1, 2), 1, 3), iv((-2, -1), 2, 3)]
+    assert_matches_reference(incs, 3000, 5, trace_every=1000)
+
+
+def test_walk_rejects_negative_probability():
+    incs = [iv((1,), 3, 2), iv((-1,), -1, 2)]
+    with pytest.raises(ValueError, match="nonnegative"):
+        simulate_walk(incs, 10, random.Random(0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 6, 8, 1000, 255, 256, 2**40 + 1])
 def test_block_draw_reproduces_randrange(n):
-    k = n.bit_length()
-    shifted = list(range(1, n + 1)) + [0] * ((1 << k) - n)
+    # with one increment per value, increment r + 1 is drawn by randrange value r;
+    # draws split over calls of several sizes continue one stream
+    cum = range(n + 1)
     for seed in range(5):
         ref = random.Random(seed)
-        expected = [ref.randrange(n) for _ in range(3000)]
+        expected = [ref.randrange(n) + 1 for _ in range(3000)]
         rng = random.Random(seed)
-        assert _randbelow_block(rng.getrandbits, n, 3000) == expected
-        assert rng.getstate() == ref.getstate()
-        rng = random.Random(seed)
-        assert _randbelow_block(rng.getrandbits, n, 3000, shifted) == [r + 1 for r in expected]
+        draw = _increment_sampler(rng.getrandbits, cum)
+        got = [*draw(1), *draw(1023), *draw(1976)]
+        assert got == expected
         assert rng.getstate() == ref.getstate()
