@@ -100,15 +100,18 @@ def _load_instance(args):
     if args.graph is not None:
         g = load_graph(args.graph)
         mu = load_measure(args.measure, vertex_parser=int)
-        missing = [v for v in mu.support() if v not in set(g.vertices())]
+        vertices = set(g.vertices())
+        missing = [v for v in mu.support() if v not in vertices]
         if missing:
             raise MeansetsError(f"measure atoms not in graph: {missing}")
     else:
         g = CayleyGraph(args.free_rank)
         rank = args.free_rank
+        # a word above rank 26 is several g/G tokens: every field but the mass
         mu = load_measure(
             args.measure,
             vertex_parser=lambda tok: word_to_str(word_from_str(tok, rank)),
+            multi_token=True,
         )
     return g, mu
 

@@ -234,9 +234,9 @@ def word_from_str(text: str, rank: int) -> ReducedWord:
 
 # -- Cayley graph over serialized ids ---------------------------------------
 
-def _str_lcp(a: str, b: str) -> int:
-    """Length of the longest common prefix, via doubling + binary search so
-    the comparisons run at C speed (this sits on the hot path of descent)."""
+def _str_lcp(a, b) -> int:
+    """Length of the longest common prefix of two strings or two tuples, via
+    doubling + binary search so the comparisons run at C speed."""
     if a == b:
         return len(a)
     n = min(len(a), len(b))
@@ -282,7 +282,9 @@ class CayleyGraph(ImplicitGraph):
 
     Vertex ids are serialized reduced words; for rank <= 26 neighbor and
     distance computations work directly on the strings.  The graph is a
-    2r-regular tree, rooted at the identity by `prefixes`.
+    2r-regular tree, rooted at the identity by `path_key`: the sorted keys
+    of a finite vertex set list each subtree as one contiguous run, which
+    is what the tree solver's descent searches with bisect.
     """
 
     def __init__(self, rank: int):
@@ -334,17 +336,23 @@ class CayleyGraph(ImplicitGraph):
             return len(a)
         return len(a) + len(b) - 2 * _str_lcp(a, b)
 
-    def prefixes(self, v: str) -> list:
-        """Ids of the vertices on the geodesic from the identity to v, in
-        order: the identity left out, v itself last (empty for the identity).
+    def path_key(self, v: str):
+        """Sort key of v that spells its geodesic from the identity: v itself
+        at rank <= 26 ("" for the identity), the tuple of its g/G tokens above
+        (() for the identity).  Its prefixes are the keys of the vertices on
+        that geodesic, so the keys of a subtree form one contiguous run in
+        sorted order; the token tuple keeps "g10" out of the subtree of "g1".
         Raises VertexIdError if v is not the id of a reduced word."""
         self._require_vertex(v)
-        if v == self.empty_id:
-            return []
         if self._letters is not None:
-            return [v[:k] for k in range(1, len(v) + 1)]
-        tokens = v.split()
-        return [" ".join(tokens[:k]) for k in range(1, len(tokens) + 1)]
+            return "" if v == self.empty_id else v
+        return () if v == self.empty_id else tuple(v.split(" "))
+
+    def key_id(self, key) -> str:
+        """The vertex id whose `path_key` is key."""
+        if not key:
+            return self.empty_id
+        return key if self._letters is not None else " ".join(key)
 
     def id_of(self, w: ReducedWord) -> str:
         if w.rank != self.rank:

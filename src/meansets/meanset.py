@@ -9,12 +9,14 @@ cover the three graph shapes:
 
   * mean_set_exact     -- full scan of a finite explicit graph, scored from
                           one BFS per atom;
-  * mean_set_tree      -- exact on trees: on free-group Cayley graphs a
-                          scan of the atoms' prefix trie, every node scored
-                          by one reroot pass; on other trees direct descent
-                          plus an equal-weight flood fill (the weight is
-                          convex along tree paths, so local minima are
-                          global and the argmin set is connected);
+  * mean_set_tree      -- exact on trees: direct descent plus an
+                          equal-weight flood fill (the weight is convex
+                          along tree paths, so local minima are global and
+                          the argmin set is connected); on free-group
+                          Cayley graphs it descends from the identity and
+                          scores each vertex from range sums over the
+                          support sorted by path key, with no distance
+                          calls;
   * mean_set_bounded   -- scan of a ball that provably contains the argmin,
                           for implicit graphs that are not trees.
 
@@ -25,8 +27,10 @@ only when building results.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import (
     DescentStepLimitError,
@@ -34,7 +38,7 @@ from .errors import (
     UnreachableAtomError,
     UnreachableVertexError,
 )
-from .freegroup import CayleyGraph
+from .freegroup import CayleyGraph, _str_lcp
 from .graphs import ExplicitGraph, Graph
 from .measures import AtomicMeasure, Sample, empirical
 
@@ -212,53 +216,69 @@ def _equal_weight_region(g: Graph, f, seed_vertex, value, cache: dict) -> set:
     return region
 
 
-def _prefix_trie_argmin(g: CayleyGraph, denom: int, nums: dict, c: int) -> MeanSetResult:
-    """Exact argmin over the prefix trie of the atoms of a free-group measure.
+def _free_group_descent(g: CayleyGraph, denom: int, nums: dict, c: int) -> MeanSetResult:
+    """Exact argmin on a free-group Cayley graph: direct descent from the
+    identity, every neighbour scored from range sums over the sorted support.
 
-    The trie holds every vertex on a geodesic from the identity to an atom,
-    so it contains the convex hull of the support; a vertex off the hull
-    weighs strictly more than its projection onto it, so the scan is
-    exhaustive.  One pass over the atoms' prefixes gives each node its
-    subtree mass M and subtree first moment S1 (the mass-weighted distance
-    to the atoms below it); then, from the identity, with T the total mass,
+    Sorted by `path_key`, the atoms below a vertex p form one contiguous run,
+    found by bisect, and prefix sums over the run give its mass M(p) and its
+    first moment S1(p), the mass-weighted distance from p to those atoms.
+    With T the total mass (Goldman 1971, extended to squares),
 
         W1(child) = W1(parent) + T - 2 M(child)
-        W2(child) = W2(parent) + T + 2 W1(parent) - 4 (S1(child) + M(child)),
+        W2(child) = W2(parent) + T + 2 W1(parent) - 4 (S1(child) + M(child)).
 
-    so every node is scored with O(sum of |atom|) dictionary operations
-    (Goldman 1971, extended to squares).
+    A child with no atoms below it is strictly heavier than its parent, so
+    only the children that lead to atoms are scored.  The weight is convex
+    along tree paths, so the descent stops at a global minimizer, and the
+    argmin set is the connected equal-weight region around it.  The descent
+    entered that vertex from a strictly heavier parent, so the region lies
+    in its subtree and is flooded through children only.  `steps` is the
+    size of the atoms' prefix hull, counted from the sorted keys.
     """
-    root = g.empty_id
-    mass: dict = {}
-    moment: dict = {}
-    parent: dict = {}  # insertion order puts each parent before its children
-    total = w1 = w2 = 0
-    for s, m in nums.items():
-        path = g.prefixes(s)
-        n = len(path)
-        total += m
-        w1 += m * n
-        w2 += m * n * n
-        up = root
-        for v in path:
-            n -= 1
-            if v in mass:
-                mass[v] += m
-                moment[v] += m * n
-            else:
-                mass[v] = m
-                moment[v] = m * n
-                parent[v] = up
-            up = v
-    first = {root: w1}
-    for v, p in parent.items():
-        first[v] = first[p] + total - 2 * mass[v]
-    weights = first
-    if c == 2:
-        weights = {root: w2}
-        for v, p in parent.items():
-            weights[v] = weights[p] + total + 2 * first[p] - 4 * (moment[v] + mass[v])
-    return _argmin(weights, weights.__getitem__, denom, c, "descent")
+    keyed = sorted((g.path_key(s), m) for s, m in nums.items())
+    keys = [k for k, _ in keyed]
+    cum_m = list(accumulate((m for _, m in keyed), initial=0))
+    cum_ml = list(accumulate((m * len(k) for k, m in keyed), initial=0))
+    total = cum_m[-1]
+    top = "~" if isinstance(keys[0], str) else ("~",)  # sorts after every letter and token
+
+    # a vertex is (key, lo, hi, W1, W2): keys[lo:hi] are the atoms below it
+    def children(key, lo, hi, w1, w2):
+        depth = len(key)
+        i = lo + (len(keys[lo]) == depth)  # an atom at key itself sorts first
+        while i < hi:
+            child = keys[i][: depth + 1]
+            j = bisect_left(keys, child + top, i + 1, hi)
+            m = cum_m[j] - cum_m[i]
+            first = cum_ml[j] - cum_ml[i] - depth * m  # S1(child) + M(child)
+            yield child, i, j, w1 + total - 2 * m, w2 + total + 2 * w1 - 4 * first
+            i = j
+
+    score = 3 if c == 1 else 4
+    node = (keys[0][:0], 0, len(keys), cum_ml[-1], sum(m * len(k) ** 2 for k, m in keyed))
+    while True:
+        around = list(children(*node))
+        # convexity leaves at most one strictly lighter neighbour
+        lighter = [u for u in around if u[score] < node[score]]
+        if not lighter:
+            break
+        node = lighter[0]
+    best = node[score]
+    region = [node[0]]
+    frontier = [u for u in around if u[score] == best]
+    while frontier:
+        v = frontier.pop()
+        region.append(v[0])
+        frontier.extend(u for u in children(*v) if u[score] == best)
+    steps = 1 + len(keys[0]) + sum(len(b) - _str_lcp(a, b) for a, b in zip(keys, keys[1:]))
+    return MeanSetResult(
+        vertices=frozenset(g.key_id(k) for k in region),
+        min_weight=Fraction(best, denom),
+        class_c=c,
+        method="descent",
+        steps=steps,
+    )
 
 
 def mean_set_tree(
@@ -270,11 +290,14 @@ def mean_set_tree(
 ) -> MeanSetResult:
     """Mean-set of a measure on a tree, exact.
 
-    On a free-group Cayley graph every vertex of the prefix trie of the
-    atoms is scored (see `_prefix_trie_argmin`) and `steps` is the number
-    of nodes scored; `start` and `max_steps` do not apply there.  An atom
-    that is not the id word_to_str gives a reduced word of the graph's
-    rank raises VertexIdError.
+    On a free-group Cayley graph the solver descends from the identity over
+    the atoms sorted by `path_key` (see `_free_group_descent`): O(n log n +
+    depth * (r + log n)) comparisons and bisects for n atoms at rank r, the
+    depth being that of the mean-set.  `steps` is the size of the atoms'
+    prefix hull, the vertices on the geodesics from the identity to the
+    atoms; `start` and `max_steps` do not apply there.  An atom that is not
+    the id word_to_str gives a reduced word of the graph's rank raises
+    VertexIdError.
 
     On other trees the solver runs direct descent, from `start` or else the
     heaviest atom (ties broken by vertex order), so the walk stays inside
@@ -300,7 +323,7 @@ def mean_set_tree(
             steps=0,
         )
     if isinstance(g, CayleyGraph):
-        return _prefix_trie_argmin(g, denom, nums, c)
+        return _free_group_descent(g, denom, nums, c)
     if start is None:
         start = min(nums, key=lambda v: (-nums[v], v))
     f = _weight_fn(g.distance, nums, c)
@@ -326,10 +349,14 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
 
     Every vertex u with d(u, v) >= 3r (class 2; 4r for class 1) then
     satisfies W_c(u) > W_c(v), so scanning the ball of that radius is an
-    exhaustive search for the argmin set.
+    exhaustive search for the argmin set.  Every atom must be a vertex of
+    the graph (`VertexIdError` on a free group, `UnreachableVertexError` on
+    an explicit graph), checked before any distance is taken.
     """
     _check_class(c)
     support = mu.support()
+    for s in support:
+        g._require_vertex(s)
     if len(support) == 1:
         return MeanSetResult(
             vertices=frozenset(support),

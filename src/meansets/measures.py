@@ -221,11 +221,14 @@ def parse_mass(token: str) -> Fraction:
     return mass
 
 
-def parse_measure(text: str, vertex_parser=None) -> AtomicMeasure:
+def parse_measure(text: str, vertex_parser=None, multi_token: bool = False) -> AtomicMeasure:
     """Parse 'vertex mass' lines into a normalized measure.
 
     vertex_parser maps the vertex token to a vertex id (default: int when the
-    token looks like an integer, else the raw string).
+    token looks like an integer, else the raw string).  With multi_token the
+    vertex is every field before the mass, joined by single spaces, as in
+    the free-group word "g1 g2" above rank 26; otherwise a line has exactly
+    two fields.
     """
     masses: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -233,6 +236,8 @@ def parse_measure(text: str, vertex_parser=None) -> AtomicMeasure:
         if not line:
             continue
         parts = line.split()
+        if multi_token and len(parts) > 2:
+            parts = [" ".join(parts[:-1]), parts[-1]]
         if len(parts) != 2:
             raise MeasureFormatError(f"line {lineno}: expected 'vertex mass', got {raw!r}")
         token, mass_tok = parts
@@ -250,6 +255,6 @@ def parse_measure(text: str, vertex_parser=None) -> AtomicMeasure:
     return AtomicMeasure.from_masses(masses)
 
 
-def load_measure(path, vertex_parser=None) -> AtomicMeasure:
+def load_measure(path, vertex_parser=None, multi_token: bool = False) -> AtomicMeasure:
     with open(path, encoding="utf-8") as fh:
-        return parse_measure(fh.read(), vertex_parser=vertex_parser)
+        return parse_measure(fh.read(), vertex_parser=vertex_parser, multi_token=multi_token)

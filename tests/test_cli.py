@@ -80,6 +80,29 @@ class TestMeansetCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    def test_free_rank_27_multi_token_words(self, capsys, tmp_path):
+        # above rank 26 a word is several g/G tokens; every field before
+        # the mass is the word, so "g1 g2 1" is g1*g2 with mass 1
+        measure = tmp_path / "mu.txt"
+        measure.write_text("g1 g2 1\ng1  g2   2 # repeated atom\ng1 G3 3\n")
+        code, out, _ = run_cli(
+            capsys, "meanset", "--free-rank", "27", "--measure", str(measure),
+        )
+        assert code == 0
+        payload = json.loads(out)
+        # g1 carries all the mass below it: 3 at distance 1 each way
+        assert payload["vertices"] == ["g1"]
+        assert payload["min_weight"] == "1/1"
+        assert payload["steps"] == 4
+
+    def test_graph_measure_three_fields(self, capsys, tmp_path, path_instance):
+        graph, _ = path_instance
+        bad = tmp_path / "bad.txt"
+        bad.write_text("0 1 2\n")
+        code, out, err = run_cli(capsys, "meanset", "--graph", graph, "--measure", str(bad))
+        assert (code, out) == (2, "")
+        assert "expected 'vertex mass'" in err
+
     def test_exact_requires_explicit(self, capsys, tmp_path):
         measure = tmp_path / "mu.txt"
         measure.write_text("e 1\n")

@@ -265,15 +265,19 @@ class TestCayleyGraph:
             assert len(g.neighbors(w)) == 8
 
     def test_prefixes_are_the_geodesic_from_the_identity(self):
+        # the prefixes of a path key are the keys of the geodesic's vertices
         rng = random.Random(58)
         for rank in (1, 2, 5, 27):
             g = CayleyGraph(rank)
-            assert g.prefixes(g.empty_id) == []
+            assert g.path_key(g.empty_id) == ("" if rank <= 26 else ())
+            assert g.key_id(g.path_key(g.empty_id)) == g.empty_id
             for _ in range(40):
                 w = random_word(rng, rank, 6)
-                expected = [word_to_str(ReducedWord(rank, w.letters[:k]))
-                            for k in range(1, len(w) + 1)]
-                assert g.prefixes(word_to_str(w)) == expected
+                key = g.path_key(word_to_str(w))
+                assert len(key) == len(w)
+                assert [g.key_id(key[:k]) for k in range(len(w) + 1)] == [
+                    word_to_str(ReducedWord(rank, w.letters[:k])) for k in range(len(w) + 1)
+                ]
 
     @pytest.mark.parametrize(
         "rank, vid",
@@ -286,7 +290,7 @@ class TestCayleyGraph:
         # foreign characters, the other spelling of the identity, unreduced
         # pairs and malformed or out-of-rank tokens name no vertex
         with pytest.raises(VertexIdError):
-            CayleyGraph(rank).prefixes(vid)
+            CayleyGraph(rank).path_key(vid)
 
     @pytest.mark.parametrize(
         "rank, vid",
@@ -295,11 +299,12 @@ class TestCayleyGraph:
     )
     def test_prefixes_accept_canonical_ids(self, rank, vid):
         g = CayleyGraph(rank)
-        assert g.prefixes(vid) == [
-            word_to_str(ReducedWord(rank, w.letters[:k]))
-            for w in [word_from_str(vid, rank)]
-            for k in range(1, len(w) + 1)
+        key = g.path_key(vid)
+        w = word_from_str(vid, rank)
+        assert [g.key_id(key[:k]) for k in range(1, len(w) + 1)] == [
+            word_to_str(ReducedWord(rank, w.letters[:k])) for k in range(1, len(w) + 1)
         ]
+        assert g.key_id(key) == vid
 
     def test_freed_without_the_cycle_collector(self):
         gc.disable()

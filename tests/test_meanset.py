@@ -15,6 +15,7 @@ from meansets.freegroup import (
     enumerate_ball,
     fg_distance,
     multiply,
+    sample_sphere,
     word_from_str,
     word_to_str,
 )
@@ -203,6 +204,13 @@ class TestCertifyRadius:
 
 
 class TestMeanSetBounded:
+    @pytest.mark.parametrize("masses", [{"a": 2, "1": 1}, {"a": 1, "aA": 1}, {"1": 1}])
+    def test_refuses_non_canonical_atoms(self, masses):
+        # only the centre atom used to be checked: {"a": 2, "1": 1} returned
+        # {e} after scanning 156,865 vertices, "1" read as a one-letter word
+        with pytest.raises(VertexIdError):
+            mean_set_bounded(CayleyGraph(4), AtomicMeasure.from_masses(masses), 2)
+
     def test_point_mass_on_free_group(self):
         g = CayleyGraph(2)
         res = mean_set_bounded(g, AtomicMeasure.point_mass("ab"), 2)
@@ -430,7 +438,8 @@ def prefix_hull_scan(rank: int, mu: AtomicMeasure, c: int):
 
 
 class TestFreeGroupPrefixTrie:
-    """The prefix-trie solver against descent and a brute-force hull scan."""
+    """The free-group tree solver against descent and a brute-force scan of
+    the prefix hull."""
 
     RANKS = (1, 2, 4, 5, 27)
 
@@ -472,6 +481,73 @@ class TestFreeGroupPrefixTrie:
             if len(w):
                 # two adjacent atoms of equal mass: both are the class-2 mean-set
                 assert mean_set_tree(g, cases[3], 2).vertices == frozenset([e, step])
+
+    @pytest.mark.parametrize("rank", (2, 4, 5, 27))
+    def test_deep_common_prefix(self, rank):
+        # the descent walks 40 steps down a^40 before the atoms split
+        g = CayleyGraph(rank)
+        stem = ReducedWord(rank, (1,) * 40)
+        mu = AtomicMeasure.from_masses({
+            word_to_str(ReducedWord(rank, stem.letters + (2,))): 1,
+            word_to_str(ReducedWord(rank, stem.letters + (-2,))): 1,
+        })
+        for c in (1, 2):
+            self.assert_agree(g, mu, c)
+        assert mean_set_tree(g, mu, 2).vertices == frozenset([word_to_str(stem)])
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_class_one_plateau(self, rank):
+        # every vertex of the geodesic from A^30 to a^30 has class-1 weight 30
+        g = CayleyGraph(rank)
+        a30 = ReducedWord(rank, (1,) * 30)
+        mu = AtomicMeasure.from_masses({word_to_str(a30): 1, word_to_str(a30.inverse()): 1})
+        for c in (1, 2):
+            self.assert_agree(g, mu, c)
+        res = mean_set_tree(g, mu, 1)
+        assert len(res.vertices) == 61
+        assert res.min_weight == 30
+        assert mean_set_tree(g, mu, 2).vertices == frozenset([g.empty_id])
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_atom_that_prefixes_another(self, rank):
+        rng = random.Random(8300 + rank)
+        g = CayleyGraph(rank)
+        for _ in range(20):
+            w = random_word(rng, rank, 10)
+            cuts = rng.sample(range(len(w) + 1), min(len(w) + 1, rng.randint(2, 4)))
+            mu = AtomicMeasure.from_masses({
+                word_to_str(ReducedWord(rank, w.letters[:k])): rng.randint(1, 9) for k in cuts
+            })
+            for c in (1, 2):
+                self.assert_agree(g, mu, c)
+
+    @pytest.mark.parametrize("masses", [
+        {"g1": 1, "g1 g2": 1, "g10": 2},
+        {"g1 g2": 3, "g10": 1, "g1": 1, "g1 g20": 1},
+        {"g2": 1, "g27 g3": 2, "G1 g10": 1, "g1 g1": 1},
+    ])
+    def test_rank_27_tokens_that_share_a_prefix_string(self, masses):
+        # "g10" sorts between "g1 g2" and "g2" as a string but is no
+        # descendant of "g1": its token key keeps the subtree runs apart
+        g = CayleyGraph(27)
+        mu = AtomicMeasure.from_masses(masses)
+        for c in (1, 2):
+            self.assert_agree(g, mu, c)
+
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_long_words(self, rank):
+        # the heavy atom drags the class-2 mean-set about 50 steps or more along
+        # its geodesic, so the descent runs deep
+        rng = random.Random(8400 + rank)
+        g = CayleyGraph(rank)
+        heavy = word_to_str(sample_sphere(rank, 200, rng))
+        masses = {heavy: 5}
+        for _ in range(3):
+            masses.setdefault(word_to_str(sample_sphere(rank, 200, rng)), 1)
+        mu = AtomicMeasure.from_masses(masses)
+        for c in (1, 2):
+            self.assert_agree(g, mu, c)
+        assert g.distance(g.empty_id, min(mean_set_tree(g, mu, 2).vertices)) >= 40
 
     @pytest.mark.parametrize(
         "masses",

@@ -203,3 +203,10 @@ class TestParsing:
             parse_measure("0 1 2\n")
         with pytest.raises(MeasureFormatError):
             parse_measure("")
+
+    def test_multi_token_vertex(self):
+        mu = parse_measure("g1 g2 1\ng3  1/2\n", multi_token=True)
+        assert mu["g1 g2"] == Fraction(2, 3)
+        assert mu["g3"] == Fraction(1, 3)
+        with pytest.raises(MeasureFormatError):
+            parse_measure("g1 g2\n", multi_token=True)
