@@ -213,7 +213,7 @@ def word_from_str(text: str, rank: int) -> ReducedWord:
     text = text.strip()
     if text == "" or text == "1" or (text == "e" and rank <= 4):
         return ReducedWord(rank)
-    if " " in text or (text[0] in "gG" and text[1:].isdigit()):
+    if rank > 26 or " " in text or (text[0] in "gG" and text[1:].isdigit()):
         letters = []
         for tok in text.split():
             if len(tok) < 2 or tok[0] not in "gG" or not tok[1:].isdigit():

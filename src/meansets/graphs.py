@@ -86,13 +86,14 @@ class Graph:
     def distances_from(self, source) -> dict:
         """Distance from `source` to every vertex of its component.
 
-        Completes the memoized BFS from `source` and returns its distance
-        map, which the graph keeps: callers must not mutate it.  Terminates
-        only when the component is finite.
+        Completes the BFS from `source` and hands its distance map to the
+        caller: the graph keeps no completed scan.  Terminates only when the
+        component is finite.
         """
         scan = self._scan_from(source)
         while self._expand(scan):
             pass
+        del self._scans[source]
         return scan.dist
 
     def ball(self, v, r: int) -> set:
@@ -132,7 +133,7 @@ class ExplicitGraph(Graph):
         self._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adj.items())}
         self._vertices = tuple(sorted(self._adj))
         self._n_edges = len(seen)
-        if len(self.ball(self._vertices[0], len(self._vertices))) != len(self._vertices):
+        if len(_reach_avoiding(self._adj, self._vertices[0], set())) != len(self._vertices):
             raise GraphFormatError("graph is not connected")
 
     @classmethod

@@ -9,14 +9,11 @@ cover the three graph shapes:
 
   * mean_set_exact     -- full scan of a finite explicit graph, scored from
                           one BFS per atom;
-  * mean_set_tree      -- exact on trees: direct descent plus an
-                          equal-weight flood fill (the weight is convex
-                          along tree paths, so local minima are global and
-                          the argmin set is connected); on free-group
-                          Cayley graphs it descends from the identity and
-                          scores each vertex from range sums over the
-                          support sorted by path key, with no distance
-                          calls;
+  * mean_set_tree      -- exact on trees: direct descent from a root over
+                          the atoms sorted by root-path key (`path_key` on
+                          a free group, else one BFS from the heaviest
+                          atom), each vertex scored from range sums with no
+                          distance calls, then an equal-weight flood fill;
   * mean_set_bounded   -- scan of a ball that provably contains the argmin,
                           for implicit graphs that are not trees.
 
@@ -27,10 +24,11 @@ only when building results.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from operator import itemgetter, mul
 
 from .errors import (
     DescentStepLimitError,
@@ -75,6 +73,14 @@ def weight(g: Graph, mu: AtomicMeasure, v, c: int = 2) -> Fraction:
 def _check_class(c: int) -> None:
     if c not in (1, 2):
         raise ValueError("weight class must be 1 or 2")
+
+
+def _require_atoms(g: Graph, atoms) -> None:
+    try:
+        for s in atoms:
+            g._require_vertex(s)
+    except UnreachableVertexError as exc:
+        raise UnreachableAtomError(str(exc)) from None
 
 
 def _weight_fn(dist, nums: dict, c: int):
@@ -131,10 +137,8 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
     """
     _check_class(c)
     denom, nums = mu.numerators()
-    try:
-        columns = {s: g.distances_from(s) for s in nums}
-    except UnreachableVertexError as exc:
-        raise UnreachableAtomError(str(exc)) from None
+    _require_atoms(g, nums)
+    columns = {s: g.distances_from(s) for s in nums}
     f = _weight_fn(lambda s, v: columns[s][v], nums, c)
     return _argmin(g.vertices(), f, denom, c, "exact")
 
@@ -160,70 +164,44 @@ def certify_radius(g: Graph, mu: AtomicMeasure, v0, r: int) -> bool:
     return tail < r * nums.get(v0, 0)
 
 
-def _descend(g: Graph, f, start, max_steps: int):
-    """Direct descent: returns (local minimizer, steps taken, value cache)."""
-    cache = {start: f(start)}
-    v = start
-    fv = cache[start]
-    steps = 0
-    while True:
-        best_u = None
-        best_fu = fv
-        for u in g.neighbors(v):
-            fu = cache.get(u)
-            if fu is None:
-                fu = cache[u] = f(u)
-            if fu < best_fu or (fu == best_fu and best_u is not None and u < best_u):
-                best_u = u
-                best_fu = fu
-        if best_u is None:
-            return v, steps, cache
-        v, fv = best_u, best_fu
-        steps += 1
-        if steps > max_steps:
-            raise DescentStepLimitError(
-                f"descent exceeded {max_steps} steps; objective is not locally finite"
-            )
-
-
 def direct_descent(g: Graph, f, start, max_steps: int = DEFAULT_STEP_LIMIT):
     """Walk to strictly smaller neighbors until none exists.
 
     Among strictly smaller neighbors the one with the smallest value is
     taken, remaining ties broken by vertex order, so runs are reproducible.
     Returns a local minimizer of f; when f is locally decreasing and locally
-    finite this is a global minimizer.
+    finite this is a global minimizer.  More than `max_steps` moves raise
+    DescentStepLimitError.
     """
-    v, _steps, _cache = _descend(g, f, start, max_steps)
-    return v
-
-
-def _equal_weight_region(g: Graph, f, seed_vertex, value, cache: dict) -> set:
-    """Flood fill over vertices whose f equals value, starting at seed_vertex."""
-    region = {seed_vertex}
-    frontier = [seed_vertex]
-    while frontier:
-        v = frontier.pop()
+    v, fv = start, f(start)
+    for _ in range(max_steps + 1):
+        best_u = None
+        best_fu = fv
         for u in g.neighbors(v):
-            if u in region:
-                continue
-            fu = cache.get(u)
-            if fu is None:
-                fu = cache[u] = f(u)
-            if fu == value:
-                region.add(u)
-                frontier.append(u)
-    return region
+            fu = f(u)
+            if fu < best_fu or (fu == best_fu and best_u is not None and u < best_u):
+                best_u = u
+                best_fu = fu
+        if best_u is None:
+            return v
+        v, fv = best_u, best_fu
+    raise DescentStepLimitError(
+        f"descent exceeded {max_steps} steps; objective is not locally finite"
+    )
 
 
-def _free_group_descent(g: CayleyGraph, denom: int, nums: dict, c: int) -> MeanSetResult:
-    """Exact argmin on a free-group Cayley graph: direct descent from the
-    identity, every neighbour scored from range sums over the sorted support.
+def _sorted_support_descent(keys: tuple, masses: tuple, c: int):
+    """Exact argmin on a tree rooted at the empty key: direct descent from
+    the root, every child scored from range sums over the sorted support.
 
-    Sorted by `path_key`, the atoms below a vertex p form one contiguous run,
-    found by bisect, and prefix sums over the run give its mass M(p) and its
-    first moment S1(p), the mass-weighted distance from p to those atoms.
-    With T the total mass (Goldman 1971, extended to squares),
+    `keys` are the atoms' keys in sorted order and `masses` their integer
+    masses.  A key spells the path from the root, one element per edge, so
+    its prefixes are the keys of the vertices on that path, and the atoms
+    below a vertex p form one contiguous run; each child's run is found by
+    bisecting on the key element at p's depth, so a move costs O(log n)
+    comparisons whatever the depth.  Prefix sums over a run give its mass
+    M(p) and its first moment S1(p), the mass-weighted distance from p to
+    those atoms.  With T the total mass (Goldman 1971, extended to squares),
 
         W1(child) = W1(parent) + T - 2 M(child)
         W2(child) = W2(parent) + T + 2 W1(parent) - 4 (S1(child) + M(child)).
@@ -232,31 +210,30 @@ def _free_group_descent(g: CayleyGraph, denom: int, nums: dict, c: int) -> MeanS
     only the children that lead to atoms are scored.  The weight is convex
     along tree paths, so the descent stops at a global minimizer, and the
     argmin set is the connected equal-weight region around it.  The descent
-    entered that vertex from a strictly heavier parent, so the region lies
-    in its subtree and is flooded through children only.  `steps` is the
-    size of the atoms' prefix hull, counted from the sorted keys.
+    started at the root or entered that vertex from a strictly heavier
+    parent, so the region lies in its subtree and is flooded through
+    children only.  Returns the region as (depth, i) pairs, the vertex's key
+    being keys[i][:depth], led by the vertex where the descent stopped, and
+    the minimal weight numerator.
     """
-    keyed = sorted((g.path_key(s), m) for s, m in nums.items())
-    keys = [k for k, _ in keyed]
-    cum_m = list(accumulate((m for _, m in keyed), initial=0))
-    cum_ml = list(accumulate((m * len(k) for k, m in keyed), initial=0))
+    cum_m = list(accumulate(masses, initial=0))
+    cum_ml = list(accumulate(map(mul, masses, map(len, keys)), initial=0))
     total = cum_m[-1]
-    top = "~" if isinstance(keys[0], str) else ("~",)  # sorts after every letter and token
 
-    # a vertex is (key, lo, hi, W1, W2): keys[lo:hi] are the atoms below it
-    def children(key, lo, hi, w1, w2):
-        depth = len(key)
-        i = lo + (len(keys[lo]) == depth)  # an atom at key itself sorts first
+    # a vertex is (depth, lo, hi, W1, W2): keys[lo:hi] are the atoms below it
+    def children(depth, lo, hi, w1, w2):
+        at = itemgetter(depth)
+        i = lo + (len(keys[lo]) == depth)  # an atom at the vertex itself sorts first
         while i < hi:
-            child = keys[i][: depth + 1]
-            j = bisect_left(keys, child + top, i + 1, hi)
+            j = bisect_right(keys, at(keys[i]), i + 1, hi, key=at)
             m = cum_m[j] - cum_m[i]
             first = cum_ml[j] - cum_ml[i] - depth * m  # S1(child) + M(child)
-            yield child, i, j, w1 + total - 2 * m, w2 + total + 2 * w1 - 4 * first
+            yield depth + 1, i, j, w1 + total - 2 * m, w2 + total + 2 * w1 - 4 * first
             i = j
 
     score = 3 if c == 1 else 4
-    node = (keys[0][:0], 0, len(keys), cum_ml[-1], sum(m * len(k) ** 2 for k, m in keyed))
+    w2 = sum(m * len(k) ** 2 for k, m in zip(keys, masses))
+    node = (0, 0, len(keys), cum_ml[-1], w2)
     while True:
         around = list(children(*node))
         # convexity leaves at most one strictly lighter neighbour
@@ -265,73 +242,94 @@ def _free_group_descent(g: CayleyGraph, denom: int, nums: dict, c: int) -> MeanS
             break
         node = lighter[0]
     best = node[score]
-    region = [node[0]]
+    region = [node[:2]]
     frontier = [u for u in around if u[score] == best]
     while frontier:
         v = frontier.pop()
-        region.append(v[0])
+        region.append(v[:2])
         frontier.extend(u for u in children(*v) if u[score] == best)
-    steps = 1 + len(keys[0]) + sum(len(b) - _str_lcp(a, b) for a, b in zip(keys, keys[1:]))
-    return MeanSetResult(
-        vertices=frozenset(g.key_id(k) for k in region),
-        min_weight=Fraction(best, denom),
-        class_c=c,
-        method="descent",
-        steps=steps,
-    )
+    return region, best
 
 
-def mean_set_tree(
-    g: Graph,
-    mu: AtomicMeasure,
-    c: int = 2,
-    start=None,
-    max_steps: int = DEFAULT_STEP_LIMIT,
-) -> MeanSetResult:
+def _bfs_path_keys(g: Graph, nums: dict):
+    """Root-path keys of the atoms in sorted order, their masses in that
+    order, and the vertices in BFS discovery order, from one BFS that starts
+    at the heaviest atom (ties broken by vertex order) and stops once every
+    atom is reached.  A key is the tuple of discovery indices on the path
+    from the root, the root's own left out, so key k names order[k[-1]] and
+    () the root."""
+    root = min(nums, key=lambda v: (-nums[v], v))
+    order = [root]
+    parent = [0]
+    index = {root: 0}
+    missing = nums.keys() - {root}
+    for i, v in enumerate(order):
+        if not missing:
+            break
+        for u in g.neighbors(v):
+            if u not in index:
+                index[u] = len(order)
+                order.append(u)
+                parent.append(i)
+                missing.discard(u)
+    else:
+        raise UnreachableAtomError(f"no path from {root!r} to {missing.pop()!r}")
+
+    def key(j):
+        path = []
+        while j:
+            path.append(j)
+            j = parent[j]
+        return tuple(reversed(path))
+
+    keys, masses = zip(*sorted((key(index[s]), m) for s, m in nums.items()))
+    return keys, masses, order
+
+
+def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     """Mean-set of a measure on a tree, exact.
 
-    On a free-group Cayley graph the solver descends from the identity over
-    the atoms sorted by `path_key` (see `_free_group_descent`): O(n log n +
-    depth * (r + log n)) comparisons and bisects for n atoms at rank r, the
-    depth being that of the mean-set.  `steps` is the size of the atoms'
-    prefix hull, the vertices on the geodesics from the identity to the
-    atoms; `start` and `max_steps` do not apply there.  An atom that is not
-    the id word_to_str gives a reduced word of the graph's rank raises
-    VertexIdError.
+    The solver keys each atom by its path from a root and descends from the
+    root over the atoms sorted by key (see `_sorted_support_descent`), with
+    no distance calls.  The weight is convex along tree paths, so the local
+    minimizer found is global and the argmin set is the connected
+    equal-weight region around it: at most two adjacent vertices in class 2.
 
-    On other trees the solver runs direct descent, from `start` or else the
-    heaviest atom (ties broken by vertex order), so the walk stays inside
-    the convex hull of the support, and `steps` counts the descent's moves.
-    The weight is convex along tree paths, hence the local minimizer found
-    is global and the full argmin set is the connected equal-weight region
-    around it; for class 2 that region has at most two (adjacent) vertices.
+    On a free-group Cayley graph the root is the identity and the keys come
+    from `path_key`, so a solve takes O(n log n + depth * (r + log n))
+    comparisons and bisects for n atoms at rank r, the depth being that of
+    the mean-set.  `steps` is the size of the atoms' prefix hull, 0 for a
+    point mass.  An atom that is not the id word_to_str gives a reduced
+    word of the graph's rank raises VertexIdError.
 
-    On a graph with cycles a local minimum need not be global, so any graph
-    whose `is_tree` is false, explicit or implicit, raises NotATreeError.
+    On any other tree the root is the heaviest atom and the keys come from
+    one BFS (`_bfs_path_keys`): a `neighbors` call per vertex nearer the
+    root than the farthest atom, and O(depth) per atom key.  `steps` is the
+    number of descent moves, the distance from the root to the mean-set.
+    An atom that is not a vertex raises UnreachableAtomError.
+
+    Any graph whose `is_tree` is false raises NotATreeError: with cycles a
+    local minimum need not be global.
     """
     _check_class(c)
     if not g.is_tree:
         raise NotATreeError("descent is exact only on trees; this graph is not a tree")
     denom, nums = mu.numerators()
-    if len(nums) == 1:
-        g._require_vertex(*nums)
-        return MeanSetResult(
-            vertices=frozenset(nums),
-            min_weight=Fraction(0),
-            class_c=c,
-            method="descent",
-            steps=0,
-        )
     if isinstance(g, CayleyGraph):
-        return _free_group_descent(g, denom, nums, c)
-    if start is None:
-        start = min(nums, key=lambda v: (-nums[v], v))
-    f = _weight_fn(g.distance, nums, c)
-    v, steps, cache = _descend(g, f, start, max_steps)
-    best = cache[v]
-    region = _equal_weight_region(g, f, v, best, cache)
+        keys, masses = zip(*sorted((g.path_key(s), m) for s, m in nums.items()))
+        region, best = _sorted_support_descent(keys, masses, c)
+        vertices = (g.key_id(keys[i][:depth]) for depth, i in region)
+        steps = 1 + len(keys[0]) + sum(len(b) - _str_lcp(a, b) for a, b in zip(keys, keys[1:]))
+        if len(keys) == 1:
+            steps = 0
+    else:
+        _require_atoms(g, nums)
+        keys, masses, order = _bfs_path_keys(g, nums)
+        region, best = _sorted_support_descent(keys, masses, c)
+        vertices = (order[keys[i][depth - 1] if depth else 0] for depth, i in region)
+        steps = region[0][0]
     return MeanSetResult(
-        vertices=frozenset(region),
+        vertices=frozenset(vertices),
         min_weight=Fraction(best, denom),
         class_c=c,
         method="descent",
@@ -350,13 +348,12 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     Every vertex u with d(u, v) >= 3r (class 2; 4r for class 1) then
     satisfies W_c(u) > W_c(v), so scanning the ball of that radius is an
     exhaustive search for the argmin set.  Every atom must be a vertex of
-    the graph (`VertexIdError` on a free group, `UnreachableVertexError` on
+    the graph (`VertexIdError` on a free group, `UnreachableAtomError` on
     an explicit graph), checked before any distance is taken.
     """
     _check_class(c)
     support = mu.support()
-    for s in support:
-        g._require_vertex(s)
+    _require_atoms(g, support)
     if len(support) == 1:
         return MeanSetResult(
             vertices=frozenset(support),

@@ -80,6 +80,17 @@ class TestMeansetCommand:
         assert (code, out) == (2, "")
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("atom", ["e", "abc"])
+    def test_free_rank_27_letter_spelling(self, capsys, tmp_path, atom):
+        # above rank 26 ids are g/G tokens, so letters name no word
+        measure = tmp_path / "mu.txt"
+        measure.write_text(f"{atom} 1\n1 1\n")
+        code, out, err = run_cli(
+            capsys, "meanset", "--free-rank", "27", "--measure", str(measure),
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_free_rank_27_multi_token_words(self, capsys, tmp_path):
         # above rank 26 a word is several g/G tokens; every field before
         # the mass is the word, so "g1 g2 1" is g1*g2 with mass 1
@@ -132,6 +143,25 @@ class TestMeansetCommand:
         )
         assert code == 2
         assert err.startswith("error:") and "tree" in err
+
+    @pytest.mark.parametrize("weight_class, payload", [
+        ("2", {"class": 2, "method": "descent", "min_weight": "22/3", "steps": 3,
+               "vertices": [2]}),
+        ("1", {"class": 1, "method": "descent", "min_weight": "8/3", "steps": 0,
+               "vertices": [1, 2, 3, 4, 7]}),
+    ])
+    def test_descent_on_explicit_tree(self, capsys, tmp_path, weight_class, payload):
+        # steps counts the moves from the heaviest atom 7 to the mean-set
+        graph = tmp_path / "tree.txt"
+        graph.write_text("0 1\n1 2\n2 3\n3 4\n1 5\n5 6\n4 7\n")
+        measure = tmp_path / "mu.txt"
+        measure.write_text("7 3\n6 1\n0 2\n")
+        code, out, _ = run_cli(
+            capsys, "meanset", "--graph", str(graph), "--measure", str(measure),
+            "--method", "descent", "--class", weight_class,
+        )
+        assert code == 0
+        assert json.loads(out) == payload
 
     def test_usage_error_exits_2(self, path_instance):
         with pytest.raises(SystemExit) as exc:

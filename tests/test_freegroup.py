@@ -201,6 +201,12 @@ class TestSerialization:
         assert word_from_str("g3 G7 g28", 30) == w
         assert word_from_str("1", 30) == identity(30)
 
+    @pytest.mark.parametrize("text", ["e", "abc", "Z", "g1 b"])
+    def test_high_rank_reads_only_tokens(self, text):
+        # above rank 26 word_to_str writes g/G tokens, never letters
+        with pytest.raises(ValueError):
+            word_from_str(text, 27)
+
     def test_bad_input(self):
         with pytest.raises(ValueError):
             word_from_str("a3b", 2)

@@ -43,6 +43,7 @@ from meansets.meanset import (
 )
 from meansets.randomgen import (
     random_connected_graph,
+    random_integer_measure,
     random_measure,
     random_tree,
     random_word,
@@ -141,7 +142,6 @@ class TestMeanSetExact:
                 assert res.min_weight == best
 
     def test_class_one_matches_floyd_warshall_with_cycles(self):
-        # atom 0 is where the connectivity check left a completed scan
         rng = random.Random(4471)
         for _ in range(80):
             g = random_connected_graph(rng, 14, min_vertices=3, extra_edge_prob=0.35)
@@ -170,6 +170,13 @@ class TestMeanSetExact:
         assert res.vertices == frozenset([5000])
         assert res.min_weight == Fraction(49990001, 4)
         assert g.calls <= 3 * n
+
+    def test_repeated_solves_keep_no_scans(self):
+        g = path_graph(400)
+        rng = random.Random(400)
+        for _ in range(200):
+            mean_set_exact(g, AtomicMeasure.uniform(rng.sample(range(400), 3)), 2)
+        assert g._scans == {}
 
     def test_atom_outside_graph(self):
         with pytest.raises(UnreachableAtomError):
@@ -373,6 +380,20 @@ class TestMeanSetTree:
         with pytest.raises(NotATreeError):
             mean_set_tree(integer_grid(), AtomicMeasure.uniform([(0, 0), (1, 1)]), 2)
 
+    @pytest.mark.parametrize("masses", [{0: 1, 7: 1}, {0: 1, 7: 2}, {7: 1}])
+    def test_atom_outside_graph(self, masses):
+        # every solver names a missing atom with the same error
+        mu = AtomicMeasure.from_masses(masses)
+        for solve in (mean_set_tree, mean_set_exact, mean_set_bounded):
+            with pytest.raises(UnreachableAtomError):
+                solve(path_graph(3), mu, 2)
+
+    def test_unreachable_atom_on_implicit_tree(self):
+        # an oracle violating the connectivity contract: isolated vertices
+        broken = ImplicitGraph(lambda v: (), is_tree=True)
+        with pytest.raises(UnreachableAtomError):
+            mean_set_tree(broken, AtomicMeasure.from_masses({0: 1, 5: 1}), 2)
+
     def test_single_atom_short_circuit(self):
         g = CayleyGraph(2)
         res = mean_set_tree(g, AtomicMeasure.point_mass("abab"), 2)
@@ -394,6 +415,56 @@ class TestMeanSetTree:
                     by_ball = mean_set_bounded(g, mu, c)
                     assert by_tree.vertices == by_ball.vertices
                     assert by_tree.min_weight == by_ball.min_weight
+
+
+def long_branch_tree(rng: random.Random, max_vertices: int) -> ExplicitGraph:
+    """Each vertex attaches to one of the four before it: long paths, so the
+    mean-set tends to lie many moves from the heaviest atom."""
+    n = rng.randint(2, max_vertices)
+    return ExplicitGraph((rng.randrange(max(0, v - 4), v), v) for v in range(1, n))
+
+
+class TestTreeSolverDifferential:
+    """The tree solver on BFS-rooted keys against the independent full scan
+    and hull scan."""
+
+    @pytest.mark.parametrize("shape", [random_tree, long_branch_tree])
+    def test_matches_exact_scan(self, shape):
+        rng = random.Random(7070)
+        for _ in range(150):
+            tree = shape(rng, 30)
+            mu = random_measure(tree.vertices(), rng, max_atoms=8)
+            heaviest = min(mu.support(), key=lambda s: (-mu[s], s))
+            # the same tree behind an opaque neighbor oracle
+            for g in (tree, ImplicitGraph(tree.neighbors, is_tree=True)):
+                for c in (1, 2):
+                    res = mean_set_tree(g, mu, c)
+                    exact = mean_set_exact(tree, mu, c)
+                    assert (res.vertices, res.min_weight) == (exact.vertices, exact.min_weight)
+                    assert res.method == "descent"
+                    assert res.steps == min(tree.distance(heaviest, v) for v in res.vertices)
+
+    def test_line_matches_hull_scan(self):
+        rng = random.Random(7071)
+        line = integer_line()
+        for _ in range(150):
+            mu = random_integer_measure(rng, span=30)
+            heaviest = min(mu.support(), key=lambda s: (-mu[s], s))
+            for c in (1, 2):
+                res = mean_set_tree(line, mu, c)
+                ref = line_mean_set(mu, c)
+                assert (res.vertices, res.min_weight) == (ref.vertices, ref.min_weight)
+                assert res.steps == min(abs(heaviest - v) for v in res.vertices)
+
+    def test_deep_descent_on_wide_line(self):
+        # a deep descent: 6,700 moves from the root 0 over keys of up to
+        # 20,000 elements
+        mu = AtomicMeasure.from_masses({0: 1, 100: 1, 20000: 1})
+        res = mean_set_tree(integer_line(), mu, 2)
+        ref = line_mean_set(mu, 2)
+        assert (res.vertices, res.min_weight) == (ref.vertices, ref.min_weight) == (
+            frozenset([6700]), Fraction(6700**2 + 6600**2 + 13300**2, 3))
+        assert res.steps == 6700
 
 
 def reference_descent(g, mu: AtomicMeasure, c: int):
