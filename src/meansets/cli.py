@@ -144,6 +144,11 @@ def _cmd_meanset(args) -> int:
     elif method == "descent":
         result = mean_set_tree(g, mu, args.weight_class)
     else:
+        if isinstance(g, CayleyGraph):
+            raise MeansetsError(
+                "--method bounded does not run on a free group: its balls grow "
+                "exponentially (use descent)"
+            )
         result = mean_set_bounded(g, mu, args.weight_class)
     payload = {
         "vertices": result.sorted_vertices(),

@@ -281,7 +281,8 @@ class CayleyGraph(ImplicitGraph):
     """Cayley graph of the free group of the given rank.
 
     Vertex ids are serialized reduced words; for rank <= 26 neighbor and
-    distance computations work directly on the strings.  The graph is a
+    distance computations work directly on the strings, and above it a
+    distance compares the g/G token tuples of `path_key`.  The graph is a
     2r-regular tree, rooted at the identity by `path_key`: the sorted keys
     of a finite vertex set list each subtree as one contiguous run, which
     is what the tree solver's descent searches with bisect.
@@ -326,7 +327,8 @@ class CayleyGraph(ImplicitGraph):
 
     def distance(self, a: str, b: str) -> int:
         if self._letters is None:
-            return fg_distance(word_from_str(a, self.rank), word_from_str(b, self.rank))
+            ka, kb = self.path_key(a), self.path_key(b)
+            return len(ka) + len(kb) - 2 * _str_lcp(ka, kb)
         if a == b:
             return 0
         empty = self.empty_id

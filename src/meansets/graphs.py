@@ -2,10 +2,9 @@
 
 Vertex ids are opaque hashable values with a total order (ints for explicit
 graphs, strings for Cayley graphs, tuples for grids).  Distances are graph
-geodesics computed by breadth-first search with a memoized per-source
-frontier, so repeated queries from the same source pay for each BFS layer
-once.  Implicit graphs may carry an exact distance oracle that bypasses BFS
-entirely.
+geodesics computed by breadth-first search; each query runs its own search
+and the graph keeps no state between queries.  Implicit graphs may carry an
+exact distance oracle that bypasses BFS entirely.
 """
 
 from __future__ import annotations
@@ -18,92 +17,64 @@ from .errors import GraphFormatError, InfiniteGraphError, UnreachableVertexError
 VertexId = Hashable
 
 
-class _BfsScan:
-    """Incremental BFS state from a single source."""
-
-    __slots__ = ("dist", "frontier", "depth")
-
-    def __init__(self, source):
-        self.dist = {source: 0}
-        self.frontier = [source]
-        self.depth = 0
-
-
 class Graph:
     """Connected, undirected, locally finite graph.
 
-    Immutable after construction; the distance cache is an internal
-    memoization detail and does not affect the observable behaviour, so
-    sharing a graph across workers is safe as long as each worker keeps its
-    own instance (or access is serialized).
+    Immutable after construction: queries keep nothing on the graph, so one
+    instance can be shared by any number of callers.
     """
 
     is_explicit = False
     is_tree = False
 
-    def __init__(self):
-        self._scans: dict = {}
-
     def neighbors(self, v) -> tuple:
         raise NotImplementedError
-
-    def _scan_from(self, source) -> _BfsScan:
-        scan = self._scans.get(source)
-        if scan is None:
-            self._require_vertex(source)
-            scan = self._scans[source] = _BfsScan(source)
-        return scan
 
     def _require_vertex(self, v) -> None:
         """Reject a BFS source outside the vertex set (only explicit graphs can tell)."""
 
-    def _expand(self, scan: _BfsScan) -> bool:
-        """Grow the scan by one BFS layer; False when the component is exhausted."""
-        if not scan.frontier:
-            return False
-        dist = scan.dist
-        nxt = []
-        depth = scan.depth + 1
-        for v in scan.frontier:
-            for u in self.neighbors(v):
-                if u not in dist:
-                    dist[u] = depth
-                    nxt.append(u)
-        scan.frontier = nxt
-        scan.depth = depth
-        return True
+    def _layers(self, source):
+        """Breadth-first search from `source`, yielding (depth, dist) after
+        each completed layer: dist maps every vertex within `depth` of the
+        source to its distance.  The first yield is (0, {source: 0}); the
+        search ends when a layer adds no vertex."""
+        self._require_vertex(source)
+        dist = {source: 0}
+        frontier = [source]
+        depth = 0
+        while frontier:
+            yield depth, dist
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for u in self.neighbors(v):
+                    if u not in dist:
+                        dist[u] = depth
+                        nxt.append(u)
+            frontier = nxt
 
     def distance(self, u, v) -> int:
         """Geodesic distance between u and v."""
-        if u == v:
-            return 0
-        scan = self._scan_from(u)
-        while v not in scan.dist:
-            if not self._expand(scan):
-                raise UnreachableVertexError(f"no path from {u!r} to {v!r}")
-        return scan.dist[v]
+        for _, dist in self._layers(u):
+            if v in dist:
+                return dist[v]
+        raise UnreachableVertexError(f"no path from {u!r} to {v!r}")
 
     def distances_from(self, source) -> dict:
         """Distance from `source` to every vertex of its component.
-
-        Completes the BFS from `source` and hands its distance map to the
-        caller: the graph keeps no completed scan.  Terminates only when the
-        component is finite.
-        """
-        scan = self._scan_from(source)
-        while self._expand(scan):
+        Terminates only when the component is finite."""
+        for _, dist in self._layers(source):
             pass
-        del self._scans[source]
-        return scan.dist
+        return dist
 
     def ball(self, v, r: int) -> set:
         """All vertices at distance <= r from v."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        scan = self._scan_from(v)
-        while scan.depth < r and self._expand(scan):
-            pass
-        return {u for u, d in scan.dist.items() if d <= r}
+        for depth, dist in self._layers(v):
+            if depth == r:
+                break
+        return set(dist)
 
 
 class ExplicitGraph(Graph):
@@ -116,7 +87,6 @@ class ExplicitGraph(Graph):
     is_explicit = True
 
     def __init__(self, edges: Iterable[tuple]):
-        super().__init__()
         adj: dict = {}
         seen = set()
         for u, v in edges:
@@ -139,7 +109,6 @@ class ExplicitGraph(Graph):
     @classmethod
     def single_vertex(cls, v) -> "ExplicitGraph":
         g = object.__new__(cls)
-        Graph.__init__(g)
         g._adj = {v: ()}
         g._vertices = (v,)
         g._n_edges = 0
@@ -218,7 +187,6 @@ class ImplicitGraph(Graph):
         is_tree: bool = False,
         name: str = "implicit",
     ):
-        super().__init__()
         self._neighbor_fn = neighbor_fn
         self._distance_fn = distance_fn
         self.is_tree = is_tree

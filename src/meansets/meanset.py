@@ -83,13 +83,33 @@ def _require_atoms(g: Graph, atoms) -> None:
         raise UnreachableAtomError(str(exc)) from None
 
 
-def _weight_fn(dist, nums: dict, c: int):
-    """Integer weight numerator as a function of the vertex.
+def _atom_distance(g: Graph, atoms):
+    """Distance function d(s, v) for s one of `atoms`.
 
-    Distances are asked for as dist(s, v), atom first, so any BFS that
-    `Graph.distance` starts is sourced at one of the |supp| atoms and its
-    memoized scan serves every vertex weighted afterwards.
+    A graph with an exact oracle (the line, the grid, free groups) answers
+    with `g.distance`.  Any other graph gets one BFS column per atom, grown
+    layer by layer only as far as the vertices asked for and dropped with
+    the function, so each distance is a lookup: O(|atoms| * (V + E)) in all
+    on a finite graph.
     """
+    if isinstance(g, CayleyGraph) or getattr(g, "_distance_fn", None) is not None:
+        return g.distance
+    layers = {s: g._layers(s) for s in atoms}
+    columns = {s: next(bfs)[1] for s, bfs in layers.items()}
+
+    def dist(s, v):
+        column = columns[s]
+        while v not in column:
+            if next(layers[s], None) is None:
+                raise UnreachableVertexError(f"no path from {s!r} to {v!r}")
+        return column[v]
+
+    return dist
+
+
+def _weight_fn(dist, nums: dict, c: int):
+    """Integer weight numerator as a function of the vertex, asking for
+    distances as dist(s, v), atom first (see `_atom_distance`)."""
     items = list(nums.items())
     if c == 2:
         def f(v):
@@ -138,8 +158,7 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
     _check_class(c)
     denom, nums = mu.numerators()
     _require_atoms(g, nums)
-    columns = {s: g.distances_from(s) for s in nums}
-    f = _weight_fn(lambda s, v: columns[s][v], nums, c)
+    f = _weight_fn(_atom_distance(g, nums), nums, c)
     return _argmin(g.vertices(), f, denom, c, "exact")
 
 
@@ -364,7 +383,8 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         )
     denom, nums = mu.numerators()
     v = min(support, key=lambda s: (-nums[s], s))
-    dist_to_atom = {s: g.distance(v, s) for s in support}
+    dist = _atom_distance(g, nums)
+    dist_to_atom = {s: dist(s, v) for s in support}
     total = sum(dist_to_atom[s] ** c * m for s, m in nums.items())
     acc = 0
     r = 0
@@ -375,7 +395,7 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         acc += r ** c * nums[s]
     radius = 3 * r if c == 2 else 4 * r
     ball = sorted(g.ball(v, radius))
-    return _argmin(ball, _weight_fn(g.distance, nums, c), denom, c, "bounded")
+    return _argmin(ball, _weight_fn(dist, nums, c), denom, c, "bounded")
 
 
 def measure_mean_set(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:

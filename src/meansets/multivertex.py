@@ -27,7 +27,7 @@ from operator import lshift
 from .errors import NotMeanSetError
 from .graphs import Graph
 from .measures import AtomicMeasure
-from .meanset import measure_mean_set
+from .meanset import _atom_distance, measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
 
@@ -89,11 +89,12 @@ def increments(
             raise NotMeanSetError(
                 f"claimed mean-set {sorted(claimed)!r} but solver found {sorted(solved)!r}"
             )
-    dist = g.distance
+    support = mu.support()
+    dist = _atom_distance(g, support)
     grouped: dict[tuple, list] = {}
-    for s in mu.support():
-        d_base = dist(base, s) ** 2
-        coords = tuple(dist(v, s) ** 2 - d_base for v in others)
+    for s in support:
+        d_base = dist(s, base) ** 2
+        coords = tuple(dist(s, v) ** 2 - d_base for v in others)
         grouped.setdefault(coords, []).append(s)
     out = []
     for coords, atoms in grouped.items():

@@ -6,6 +6,7 @@ import pytest
 
 from meansets.cli import main
 from meansets.experiments import derive_seed
+from meansets.freegroup import CayleyGraph
 from meansets.multivertex import IncrementVector, simulate_walk
 
 
@@ -60,15 +61,21 @@ class TestMeansetCommand:
         assert payload["min_weight"] == "2/3"
         assert payload["method"] == "descent"
 
-    def test_free_rank_bounded(self, capsys, tmp_path):
+    def test_free_rank_bounded_refused(self, capsys, tmp_path, monkeypatch):
+        # the radius-30 ball of these two words has ~3^30 vertices and used
+        # to end in MemoryError; the refusal must come before any ball
+        def no_ball(self, v, r):
+            raise AssertionError(f"ball of radius {r} built")
+
+        monkeypatch.setattr(CayleyGraph, "ball", no_ball)
         measure = tmp_path / "mu.txt"
-        measure.write_text("e 1\na 1\nA 1\n")
-        code, out, _ = run_cli(
+        measure.write_text("aaaaa 1\nbbbbb 1\n")
+        code, out, err = run_cli(
             capsys, "meanset", "--free-rank", "2", "--measure", str(measure),
             "--method", "bounded",
         )
-        assert code == 0
-        assert json.loads(out)["vertices"] == ["e"]
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
 
     @pytest.mark.parametrize("rank, atom", [(4, "aA"), (4, "a%"), (4, "f"), (27, "g28")])
     def test_free_rank_non_canonical_atom(self, capsys, tmp_path, rank, atom):

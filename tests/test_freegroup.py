@@ -255,6 +255,19 @@ class TestCayleyGraph:
             a = random_word(rng, 3, 6)
             b = random_word(rng, 3, 6)
             assert g.distance(word_to_str(a), word_to_str(b)) == fg_distance(a, b)
+        # above rank 26 a distance compares the ids' token tuples
+        g = CayleyGraph(27)
+        for _ in range(200):
+            a = random_word(rng, 27, 6)
+            b = random_word(rng, 27, 6)
+            if rng.random() < 0.5:  # a prefix of a, so the ids share tokens
+                b = ReducedWord(27, a.letters[: rng.randint(0, len(a))])
+            assert g.distance(word_to_str(a), word_to_str(b)) == fg_distance(a, b)
+
+    @pytest.mark.parametrize("a, b", [("g3 G3", "g1"), ("g1", "g28"), ("g1 ", "g1"), ("1", "e")])
+    def test_high_rank_distance_rejects_non_canonical_ids(self, a, b):
+        with pytest.raises(VertexIdError):
+            CayleyGraph(27).distance(a, b)
 
     def test_high_rank_graph(self):
         g = CayleyGraph(30)

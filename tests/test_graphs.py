@@ -115,6 +115,11 @@ class TestDistancesFrom:
         with pytest.raises(UnreachableVertexError):
             g.distance(7, 0)
 
+    def test_non_vertex_to_itself_raises(self):
+        # u == v used to answer 0 before the vertex check
+        with pytest.raises(UnreachableVertexError):
+            path_graph(3).distance(7, 7)
+
 
 class TestBall:
     def test_path_ball(self):

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -172,17 +173,26 @@ class TestMeanSetExact:
         assert g.calls <= 3 * n
 
     def test_repeated_solves_keep_no_scans(self):
+        # solves leave the graph as constructed: no state grows per source
         g = path_graph(400)
+        before = copy.deepcopy(vars(g))
         rng = random.Random(400)
         for _ in range(200):
-            mean_set_exact(g, AtomicMeasure.uniform(rng.sample(range(400), 3)), 2)
-        assert g._scans == {}
+            mu = AtomicMeasure.uniform(rng.sample(range(400), 3))
+            mean_set_exact(g, mu, 2)
+            mean_set_bounded(g, mu, 2)
+        assert vars(g) == before
 
     def test_atom_outside_graph(self):
         with pytest.raises(UnreachableAtomError):
             mean_set_exact(path_graph(3), AtomicMeasure.point_mass(99), 2)
         with pytest.raises(UnreachableAtomError):
             weight(path_graph(3), AtomicMeasure.point_mass(99), 0, 2)
+
+    def test_weight_at_a_non_vertex_atom(self):
+        # the atom is the vertex weighted: d(7, 7) used to read 0
+        with pytest.raises(UnreachableAtomError):
+            weight(path_graph(3), AtomicMeasure.point_mass(7), 7, 2)
 
 
 class TestCertifyRadius:
@@ -254,6 +264,33 @@ class TestMeanSetBounded:
                 exact = mean_set_exact(tree, mu, c)
                 assert res.vertices == exact.vertices
                 assert res.min_weight == exact.min_weight
+
+    def test_grid_solves_keep_no_scans(self):
+        # each ball used to stay cached on the graph, one per distinct centre
+        grid = integer_grid()
+        before = copy.deepcopy(vars(grid))
+        rng = random.Random(90)
+        for _ in range(20):
+            atoms = {(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(3)}
+            mean_set_bounded(grid, AtomicMeasure.uniform(atoms), 2)
+        assert vars(grid) == before
+
+    def test_opaque_grid_work_is_one_bfs_per_atom(self):
+        # with no distance oracle each atom's BFS column serves the whole
+        # ball; a BFS per distance call took ~730,000 neighbors calls here
+        grid = integer_grid()
+        calls = 0
+
+        def neighbors(p):
+            nonlocal calls
+            calls += 1
+            return grid.neighbors(p)
+
+        mu = AtomicMeasure.from_masses({(0, 0): 2, (3, 1): 1, (-2, 4): 1})
+        res = mean_set_bounded(ImplicitGraph(neighbors), mu, 2)
+        assert res.vertices == frozenset([(0, 1)]) and res.min_weight == 9
+        assert res.steps == len(grid.ball((0, 0), 18))
+        assert calls <= 2 * (len(mu.support()) + 1) * res.steps
 
     def test_generous_ball_rescan(self):
         # recompute the half-mass radius independently, then scan a ball

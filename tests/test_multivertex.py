@@ -5,7 +5,7 @@ from math import lcm
 
 import pytest
 
-from meansets.errors import NotMeanSetError
+from meansets.errors import NotMeanSetError, UnreachableVertexError
 from meansets.graphs import integer_line, path_graph, star_graph
 from meansets.measures import AtomicMeasure
 from meansets.meanset import mean_set_exact, weight
@@ -124,6 +124,12 @@ class TestIncrements:
         g, mu, *_ = TWO_POINT_LINE
         with pytest.raises(NotMeanSetError):
             increments(g, mu, 0, [2])
+
+    def test_unvalidated_non_vertex_raises(self):
+        # distances are lookups into per-atom BFS columns: a vertex that no
+        # column reaches must raise the graph's error, not a KeyError
+        with pytest.raises(UnreachableVertexError):
+            increments(path_graph(3), AtomicMeasure.uniform([0, 2]), 1, [9], validate=False)
 
     def test_first_moment_zero_on_random_instances(self):
         rng = random.Random(1001)
