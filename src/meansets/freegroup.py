@@ -12,7 +12,10 @@ uppercase form (rank <= 26); higher ranks use space-separated "g3"/"G7"
 tokens.  The empty word is spelled "e" up to rank 4; from rank 5 on the
 letter e names generator 5, so the empty word is spelled "1" there.  The
 serialized string doubles as the vertex id of the Cayley graph, so the
-graph layer can order and hash vertices without knowing about words.
+graph layer can order and hash vertices without knowing about words.  The
+graph reads every id through `CayleyGraph.path_key`, which gives both
+spellings one form: the sequence of letters or tokens whose prefixes spell
+the geodesic from the identity.
 """
 
 from __future__ import annotations
@@ -257,7 +260,8 @@ def _str_lcp(a, b) -> int:
 
 def _id_pattern(rank: int) -> re.Pattern:
     """Matches the ids word_to_str gives the nonempty reduced words of the
-    rank, except that a g/G token's index is not checked against the rank."""
+    rank, except that a g/G token's index is not checked against the rank
+    (the caller checks each token against the rank's token set)."""
     if rank <= 26:
         lower = "abcdefghijklmnopqrstuvwxyz"[:rank]
         # each letter not followed by its inverse
@@ -269,23 +273,14 @@ def _id_pattern(rank: int) -> re.Pattern:
     return re.compile(rf"(?:{token}(?: (?!\Z)|\Z))+")
 
 
-_INDEX = re.compile("[0-9]+")
-
-_CASE_FLIP = str.maketrans(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ",
-    "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz",
-)
-
-
 class CayleyGraph(ImplicitGraph):
     """Cayley graph of the free group of the given rank.
 
-    Vertex ids are serialized reduced words; for rank <= 26 neighbor and
-    distance computations work directly on the strings, and above it a
-    distance compares the g/G token tuples of `path_key`.  The graph is a
-    2r-regular tree, rooted at the identity by `path_key`: the sorted keys
-    of a finite vertex set list each subtree as one contiguous run, which
-    is what the tree solver's descent searches with bisect.
+    Vertex ids are serialized reduced words, and every query reads them
+    through `path_key`, the one place that knows both spellings.  The graph
+    is a 2r-regular tree, rooted at the identity by `path_key`: the sorted
+    keys of a finite vertex set list each subtree as one contiguous run,
+    which is what the tree solver's descent searches with bisect.
     """
 
     def __init__(self, rank: int):
@@ -294,49 +289,30 @@ class CayleyGraph(ImplicitGraph):
         self.rank = rank
         self.empty_id = empty_spelling(rank)
         self._id_match = _id_pattern(rank).fullmatch
-        self._letters = None
-        if rank <= 26:
-            alphabet = [chr(ord("a") + i) for i in range(rank)]
-            self._letters = tuple(alphabet + [c.upper() for c in alphabet])
+        # key element -> its inverse, in cayley_neighbors order (x1, x1^-1, x2, ...)
+        self._inverse = {
+            word_to_str(generator(rank, x)): word_to_str(generator(rank, -x))
+            for i in range(1, rank + 1)
+            for x in (i, -i)
+        }
+        self._sep = "" if rank <= 26 else " "
         super().__init__(None, is_tree=True, name=f"F{rank}")
 
-    def _require_vertex(self, v) -> None:
-        """Reject an id that word_to_str does not produce: a foreign or
-        out-of-rank character or token, an unreduced pair, a second spelling
-        of the identity, or a malformed g/G token."""
-        if v == self.empty_id:
-            return
-        if isinstance(v, str) and self._id_match(v):
-            if self._letters is not None or max(map(int, _INDEX.findall(v))) <= self.rank:
-                return
-        raise VertexIdError(f"{v!r} is not the id of a reduced word of rank {self.rank}")
-
     def neighbors(self, v: str) -> tuple:
-        if self._letters is None:
-            w = word_from_str(v, self.rank)
-            return tuple(word_to_str(u) for u in cayley_neighbors(w))
-        body = "" if v == self.empty_id else v
-        inv_last = body[-1].translate(_CASE_FLIP) if body else ""
+        """v times each generator and inverse, in cayley_neighbors order; the
+        letter that cancels the key's last element gives v's parent."""
+        key = self.path_key(v)
+        if not key:
+            return tuple(self._inverse)
+        parent, inv_last, prefix = self.key_id(key[:-1]), self._inverse[key[-1]], v + self._sep
         out = []
-        for c in self._letters:
-            if c == inv_last:
-                out.append(body[:-1] or self.empty_id)
-            else:
-                out.append(body + c)
+        for x in self._inverse:
+            out.append(parent if x == inv_last else prefix + x)
         return tuple(out)
 
     def distance(self, a: str, b: str) -> int:
-        if self._letters is None:
-            ka, kb = self.path_key(a), self.path_key(b)
-            return len(ka) + len(kb) - 2 * _str_lcp(ka, kb)
-        if a == b:
-            return 0
-        empty = self.empty_id
-        if a == empty:
-            return len(b)
-        if b == empty:
-            return len(a)
-        return len(a) + len(b) - 2 * _str_lcp(a, b)
+        ka, kb = self.path_key(a), self.path_key(b)
+        return len(ka) + len(kb) - 2 * _str_lcp(ka, kb)
 
     def path_key(self, v: str):
         """Sort key of v that spells its geodesic from the identity: v itself
@@ -344,22 +320,22 @@ class CayleyGraph(ImplicitGraph):
         (() for the identity).  Its prefixes are the keys of the vertices on
         that geodesic, so the keys of a subtree form one contiguous run in
         sorted order; the token tuple keeps "g10" out of the subtree of "g1".
-        Raises VertexIdError if v is not the id of a reduced word."""
-        self._require_vertex(v)
-        if self._letters is not None:
-            return "" if v == self.empty_id else v
-        return () if v == self.empty_id else tuple(v.split(" "))
+        Raises VertexIdError if v is not an id word_to_str produces: a
+        foreign or out-of-rank character or token, an unreduced pair, a
+        second spelling of the identity, or a malformed g/G token."""
+        if v == self.empty_id:
+            return () if self._sep else ""
+        if isinstance(v, str) and self._id_match(v):
+            if not self._sep:  # the pattern names each letter of the rank
+                return v
+            key = tuple(v.split(" "))
+            if self._inverse.keys() >= set(key):
+                return key
+        raise VertexIdError(f"{v!r} is not the id of a reduced word of rank {self.rank}")
+
+    # validating an id is computing its key
+    _require_vertex = path_key
 
     def key_id(self, key) -> str:
         """The vertex id whose `path_key` is key."""
-        if not key:
-            return self.empty_id
-        return key if self._letters is not None else " ".join(key)
-
-    def id_of(self, w: ReducedWord) -> str:
-        if w.rank != self.rank:
-            raise RankMismatchError(f"word rank {w.rank} vs graph rank {self.rank}")
-        return word_to_str(w)
-
-    def word_of(self, vid: str) -> ReducedWord:
-        return word_from_str(vid, self.rank)
+        return (" ".join(key) if self._sep else key) or self.empty_id

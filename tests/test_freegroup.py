@@ -240,13 +240,15 @@ class TestStringLcp:
 
 class TestCayleyGraph:
     def test_neighbors_match_word_level(self):
-        g = CayleyGraph(2)
+        # rank 5 spells generator 5 with the letter e; rank 27 uses g/G tokens
         rng = random.Random(55)
-        for _ in range(80):
-            w = random_word(rng, 2, 5)
-            via_graph = set(g.neighbors(word_to_str(w)))
-            via_words = {word_to_str(u) for u in cayley_neighbors(w)}
-            assert via_graph == via_words
+        for rank in (2, 5, 27):
+            g = CayleyGraph(rank)
+            for _ in range(80):
+                w = random_word(rng, rank, 5)
+                via_graph = g.neighbors(word_to_str(w))
+                via_words = tuple(word_to_str(u) for u in cayley_neighbors(w))
+                assert via_graph == via_words
 
     def test_distance_matches_word_metric(self):
         g = CayleyGraph(3)
@@ -308,8 +310,13 @@ class TestCayleyGraph:
     def test_prefixes_reject_non_canonical_ids(self, rank, vid):
         # foreign characters, the other spelling of the identity, unreduced
         # pairs and malformed or out-of-rank tokens name no vertex
+        g = CayleyGraph(rank)
         with pytest.raises(VertexIdError):
-            CayleyGraph(rank).path_key(vid)
+            g.path_key(vid)
+        with pytest.raises(VertexIdError):
+            g.neighbors(vid)
+        with pytest.raises(VertexIdError):
+            g.distance(vid, g.empty_id)
 
     @pytest.mark.parametrize(
         "rank, vid",

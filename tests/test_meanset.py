@@ -194,6 +194,11 @@ class TestMeanSetExact:
         with pytest.raises(UnreachableAtomError):
             weight(path_graph(3), AtomicMeasure.point_mass(7), 7, 2)
 
+    def test_weight_at_a_non_canonical_free_group_atom(self):
+        # "aA" is unreduced, so it names no vertex of F2
+        with pytest.raises(VertexIdError):
+            weight(CayleyGraph(2), AtomicMeasure.point_mass("aA"), "e", 2)
+
 
 class TestCertifyRadius:
     def test_point_mass_certifies(self):
