@@ -47,7 +47,6 @@ from .graphs import (
 from .measures import AtomicMeasure, Sample, draw, empirical, load_measure, parse_measure, shift
 from .meanset import (
     MeanSetResult,
-    certify_radius,
     classical_mean_gap,
     direct_descent,
     line_mean_set,

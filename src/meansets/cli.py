@@ -16,10 +16,13 @@ from fractions import Fraction
 
 from .errors import MeansetsError
 from .experiments import (
+    INVARIANT_SUITES,
     ExperimentConfig,
+    SweepReport,
     decay_to_csv,
     derive_seed,
     run_decay_experiment,
+    run_invariant_suite,
     run_invariant_sweep,
     run_table_experiment,
     table_to_csv,
@@ -42,15 +45,6 @@ from .multivertex import (
     simulate_walk,
     first_moment,
 )
-
-SUITE_NAMES = (
-    "shift-property",
-    "tree-configuration",
-    "cut-point-inequality",
-    "dimension-invariance",
-    "classical-mean-gap",
-)
-
 
 def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
@@ -216,12 +210,13 @@ def _cmd_decay(args) -> int:
 
 
 def _cmd_check(args) -> int:
-    report = run_invariant_sweep(seed=args.seed, cases=args.cases,
-                                 inject_fault=args.inject_fault)
-    if args.suite != "all":
-        report.suites = [s for s in report.suites if s.name == args.suite]
+    if args.suite == "all":
+        report = run_invariant_sweep(args.seed, args.cases, args.inject_fault)
+    else:
+        suite = run_invariant_suite(args.suite, args.seed, args.cases, args.inject_fault)
+        report = SweepReport(seed=args.seed, suites=[suite])
     sys.stdout.write(report.render())
-    return 0 if all(s.passed for s in report.suites) else 1
+    return 0 if report.all_passed else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -268,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_decay)
 
     p = sub.add_parser("check", help="randomized invariant sweep")
-    p.add_argument("--suite", choices=("all",) + SUITE_NAMES, default="all")
+    p.add_argument("--suite", choices=("all", *INVARIANT_SUITES), default="all")
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--cases", type=_positive_int, default=50)
     p.add_argument("--inject-fault", action="store_true",

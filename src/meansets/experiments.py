@@ -292,19 +292,6 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _run_suite(name: str, seed: int, cases: int, check) -> SuiteResult:
-    failures = 0
-    first_failure = None
-    for i in range(cases):
-        case_seed = derive_seed(seed, name, i)
-        if not check(random.Random(case_seed)):
-            failures += 1
-            if first_failure is None:
-                first_failure = case_seed
-    return SuiteResult(name=name, cases=cases, failures=failures,
-                       first_failure_seed=first_failure)
-
-
 def _shift_faulty(mu: AtomicMeasure, g) -> AtomicMeasure:
     # negative control: translate by raw string concatenation, skipping free
     # reduction, so an atom that needed cancelling stays an unreduced id
@@ -393,24 +380,43 @@ def _check_classical_mean_gap(rng: random.Random) -> bool:
     return classical_mean_gap(mu) <= Fraction(1, 2)
 
 
+# name -> (check(rng, inject_fault), divisor of the cases it runs).  Each
+# suite seeds its cases from its own name, so a suite run alone reports
+# what it reports in the full sweep.
+INVARIANT_SUITES = {
+    "shift-property": (lambda rng, fault: _check_shift_property(rng, fault), 1),
+    "tree-configuration": (lambda rng, fault: _check_tree_configuration(rng), 1),
+    "cut-point-inequality": (lambda rng, fault: _check_cut_point(rng), 2),
+    "dimension-invariance": (lambda rng, fault: _check_dimension_invariance(rng), 1),
+    "classical-mean-gap": (lambda rng, fault: _check_classical_mean_gap(rng), 1),
+}
+
+
+def run_invariant_suite(
+    name: str, seed: int = 42, cases: int = 50, inject_fault: bool = False
+) -> SuiteResult:
+    """Run one suite of INVARIANT_SUITES; deterministic given the seed."""
+    check, divisor = INVARIANT_SUITES[name]
+    cases = max(cases // divisor, 1)
+    failures = 0
+    first_failure = None
+    for i in range(cases):
+        case_seed = derive_seed(seed, name, i)
+        if not check(random.Random(case_seed), inject_fault):
+            failures += 1
+            if first_failure is None:
+                first_failure = case_seed
+    return SuiteResult(name=name, cases=cases, failures=failures,
+                       first_failure_seed=first_failure)
+
+
 def run_invariant_sweep(
     seed: int = 42, cases: int = 50, inject_fault: bool = False
 ) -> SweepReport:
-    """Run the randomized invariant suites; deterministic given the seed.
+    """Run every invariant suite; deterministic given the seed.
 
     inject_fault skips free reduction in the shift-property suite as a
     negative control, which must make that suite fail.
     """
-    suites = [
-        _run_suite(
-            "shift-property",
-            seed,
-            cases,
-            lambda rng: _check_shift_property(rng, inject_fault=inject_fault),
-        ),
-        _run_suite("tree-configuration", seed, cases, _check_tree_configuration),
-        _run_suite("cut-point-inequality", seed, max(cases // 2, 1), _check_cut_point),
-        _run_suite("dimension-invariance", seed, cases, _check_dimension_invariance),
-        _run_suite("classical-mean-gap", seed, cases, _check_classical_mean_gap),
-    ]
+    suites = [run_invariant_suite(name, seed, cases, inject_fault) for name in INVARIANT_SUITES]
     return SweepReport(seed=seed, suites=suites)

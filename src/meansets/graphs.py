@@ -106,14 +106,6 @@ class ExplicitGraph(Graph):
         if len(_reach_avoiding(self._adj, self._vertices[0], set())) != len(self._vertices):
             raise GraphFormatError("graph is not connected")
 
-    @classmethod
-    def single_vertex(cls, v) -> "ExplicitGraph":
-        g = object.__new__(cls)
-        g._adj = {v: ()}
-        g._vertices = (v,)
-        g._n_edges = 0
-        return g
-
     def neighbors(self, v) -> tuple:
         return self._adj[v]
 

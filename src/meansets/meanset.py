@@ -162,27 +162,6 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
     return _argmin(g.vertices(), f, denom, c, "exact")
 
 
-def certify_radius(g: Graph, mu: AtomicMeasure, v0, r: int) -> bool:
-    """Exact test of the outer-tail certificate
-
-        sum over atoms s with d(v0, s) > r/2 of d(v0, s) * mu(s)  <  (r/2) * mu(v0).
-
-    When it holds, every vertex outside the ball of radius r around v0 has
-    strictly larger class-2 weight than v0, so the mean-set lies inside that
-    ball.  It can only hold when mu(v0) > 0.
-    """
-    if r < 1:
-        raise ValueError("radius must be positive")
-    denom, nums = mu.numerators()
-    # multiply both sides by 2*denom to stay in integers
-    tail = sum(
-        2 * g.distance(v0, s) * m
-        for s, m in nums.items()
-        if 2 * g.distance(v0, s) > r
-    )
-    return tail < r * nums.get(v0, 0)
-
-
 def direct_descent(g: Graph, f, start, max_steps: int = DEFAULT_STEP_LIMIT):
     """Walk to strictly smaller neighbors until none exists.
 

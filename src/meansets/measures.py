@@ -11,11 +11,15 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
+from itertools import accumulate, pairwise, repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import MeasureFormatError, RankMismatchError
+
+_CHUNK = 1 << 16  # draws per sampler call in `draw`, which bounds its memory
 
 
 class AtomicMeasure:
@@ -26,7 +30,7 @@ class AtomicMeasure:
     read out as Fractions.
     """
 
-    __slots__ = ("_denom", "_nums", "_inversion")
+    __slots__ = ("_denom", "_nums")
 
     def __init__(self, atoms: Mapping):
         cleaned: dict = {}
@@ -44,12 +48,8 @@ class AtomicMeasure:
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
         denom = lcm(*(w.denominator for w in cleaned.values()))
-        self._set(denom, {v: int(w * denom) for v, w in sorted(cleaned.items())})
-
-    def _set(self, denom: int, nums: dict) -> None:
         self._denom = denom
-        self._nums = nums
-        self._inversion = None
+        self._nums = {v: int(w * denom) for v, w in sorted(cleaned.items())}
 
     @classmethod
     def from_masses(cls, masses: Mapping) -> "AtomicMeasure":
@@ -71,7 +71,8 @@ class AtomicMeasure:
                 raise ValueError(f"negative weight {Fraction(m, total)} at {v!r}")
         g = gcd(*masses.values())
         mu = object.__new__(cls)
-        mu._set(total // g, {v: m // g for v, m in sorted(masses.items()) if m})
+        mu._denom = total // g
+        mu._nums = {v: m // g for v, m in sorted(masses.items()) if m}
         return mu
 
     @classmethod
@@ -120,17 +121,6 @@ class AtomicMeasure:
         """
         return self._denom, dict(self._nums)
 
-    def _cumulative(self):
-        if self._inversion is None:
-            atoms = list(self._nums)
-            cum = []
-            acc = 0
-            for n in self._nums.values():
-                acc += n
-                cum.append(acc)
-            self._inversion = (self._denom, atoms, cum)
-        return self._inversion
-
     def total_variation(self, other: "AtomicMeasure") -> Fraction:
         keys = set(self._nums) | set(other._nums)
         return sum((abs(self[v] - other[v]) for v in keys), Fraction(0)) / 2
@@ -151,13 +141,6 @@ class Sample:
         self.counts = dict(sorted(cleaned.items()))
         self.n = n
 
-    @classmethod
-    def from_draws(cls, draws: Iterable) -> "Sample":
-        counts: dict = {}
-        for v in draws:
-            counts[v] = counts.get(v, 0) + 1
-        return cls(counts)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, Sample) and self.counts == other.counts
 
@@ -165,20 +148,72 @@ class Sample:
         return f"Sample({self.counts})"
 
 
+def _increment_sampler(getrandbits, cum: list):
+    """draw(count): the 1-based increments bisect_right(cum, r) of the next
+    count values r of randrange(cum[-1]), as bytes or a list of ints.
+
+    random.Random.randrange(n) draws getrandbits(k), k = n.bit_length(),
+    until a value falls below n, so successive calls return the accepted
+    values of one stream of getrandbits(k) draws.  getrandbits(k) for
+    k <= 32 is the top k bits of one 32-bit word, and getrandbits(32 * m)
+    is m such words, the first one lowest.  For k <= 8 a call takes m words
+    in one getrandbits call and maps the top byte of each through a table
+    (0 for a redraw); larger k draw getrandbits(k) one at a time and
+    bisect.  Either way no call asks for more draws than values are still
+    missing, so the generator ends where count calls of randrange leave it.
+    """
+    n = cum[-1]
+    k = n.bit_length()
+    if k <= 8:
+        # the top byte b reads r = b >> 8 - k, so each r fills 2**(8 - k) entries
+        table = b"".join(
+            bytes([i]) * (hi - lo << 8 - k)
+            for i, (lo, hi) in enumerate(pairwise(cum), 1)
+            if hi > lo
+        ).ljust(256, b"\0")
+
+        def draw(count: int) -> bytes:
+            out = b""
+            while len(out) < count:
+                m = count - len(out)
+                top = getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
+                out += top.translate(table).replace(b"\0", b"")
+            return out
+
+    else:
+
+        def draw(count: int) -> list:
+            out: list = []
+            while len(out) < count:
+                out += filter(n.__gt__, map(getrandbits, repeat(k, count - len(out))))
+            return list(map(bisect_right, repeat(cum), out))
+
+    return draw
+
+
+def _atom_sampler(mu: AtomicMeasure, rng: random.Random):
+    """draw(count): count draws from mu as 1-based indices into mu.support(),
+    made as count calls of rng.randrange(denominator) make them."""
+    return _increment_sampler(rng.getrandbits, [0, *accumulate(mu._nums.values())])
+
+
 def draw(mu: AtomicMeasure, n: int, rng: random.Random) -> Sample:
     """n i.i.d. draws from mu, aggregated into counts.
 
     Uses exact cumulative-weight inversion: a uniform integer below the
     common denominator selects an atom, so the draw distribution is exactly
-    mu, not a float approximation of it.
+    mu, not a float approximation of it.  The draws, and the state rng is
+    left in, are those of n calls of rng.randrange(denominator), made in
+    bulk by _increment_sampler.
     """
     if n < 1:
         raise ValueError("need n >= 1 draws")
-    denom, atoms, cum = mu._cumulative()
-    counts = [0] * len(atoms)
-    for _ in range(n):
-        counts[bisect_right(cum, rng.randrange(denom))] += 1
-    return Sample({v: c for v, c in zip(atoms, counts) if c})
+    atoms = [None, *mu._nums]  # index i draws atoms[i]
+    sampler = _atom_sampler(mu, rng)
+    counts: Counter = Counter()
+    for start in range(0, n, _CHUNK):
+        counts.update(sampler(min(_CHUNK, n - start)))
+    return Sample({atoms[i]: c for i, c in counts.items()})
 
 
 def empirical(s: Sample) -> AtomicMeasure:

@@ -17,16 +17,14 @@ orthant recurrence, and a descriptive simulation of the walk.
 from __future__ import annotations
 
 import random
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
-from math import lcm
+from itertools import accumulate, product
 from operator import lshift
 
 from .errors import NotMeanSetError
 from .graphs import Graph
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, _atom_sampler
 from .meanset import _atom_distance, measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
@@ -239,46 +237,6 @@ def positivity_hypotheses(
     )
 
 
-def _increment_sampler(getrandbits, cum: list):
-    """draw(count): the 1-based increments bisect_right(cum, r) of the next
-    count values r of randrange(cum[-1]), as bytes or a list of ints.
-
-    random.Random.randrange(n) draws getrandbits(k), k = n.bit_length(),
-    until a value falls below n, so successive calls return the accepted
-    values of one stream of getrandbits(k) draws.  getrandbits(k) for
-    k <= 32 is the top k bits of one 32-bit word, and getrandbits(32 * m)
-    is m such words, the first one lowest.  For k <= 8 a call takes m words
-    in one getrandbits call and maps the top byte of each through a table
-    (0 for a redraw); larger k draw getrandbits(k) one at a time and
-    bisect.  Either way no call asks for more draws than values are still
-    missing, so the generator ends where count calls of randrange leave it.
-    """
-    n = cum[-1]
-    k = n.bit_length()
-    if k <= 8:
-        table = bytes(
-            bisect_right(cum, r) if r < n else 0 for r in (b >> 8 - k for b in range(256))
-        )
-
-        def draw(count: int) -> bytes:
-            out = b""
-            while len(out) < count:
-                m = count - len(out)
-                top = getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-                out += top.translate(table).replace(b"\0", b"")
-            return out
-
-    else:
-
-        def draw(count: int) -> list:
-            out: list = []
-            while len(out) < count:
-                out += filter(n.__gt__, map(getrandbits, repeat(k, count - len(out))))
-            return list(map(bisect_right, repeat(cum), out))
-
-    return draw
-
-
 def simulate_walk(
     incs: list[IncrementVector],
     steps: int,
@@ -298,11 +256,11 @@ def simulate_walk(
     coordinate.  A step visits the orthant iff the int is nonnegative and
     every field's top bit is set: one `&` with a mask of those bits plus a
     bit above the top field, which only a negative int has.  Steps run in
-    blocks of _BLOCK: a block draws its increments with the getrandbits
-    calls that rng.randrange(denom) makes (see _increment_sampler), adds
-    up the packed increments in one running sum and unpacks positions only
-    for the trace and the end.  The result, and the state rng is left in,
-    equal those of one randrange call per step, in O(_BLOCK) memory.
+    blocks of _BLOCK: a block draws its increments in bulk as
+    measures.draw does, adds up the packed increments in one running sum
+    and unpacks positions only for the trace and the end.  The result, and
+    the state rng is left in, equal those of one randrange call per step,
+    in O(_BLOCK) memory.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
@@ -313,14 +271,9 @@ def simulate_walk(
     if any(iv.probability < 0 for iv in incs):
         raise ValueError("increment probabilities must be nonnegative")
     dim = len(incs[0].coords)
-    incs = [iv for iv in incs if iv.probability]  # never drawn, so at most denom remain
-    denom = lcm(*(iv.probability.denominator for iv in incs))
-    cum = [0]  # bisect_right(cum, r) is the 1-based increment drawn by r
-    for iv in incs:
-        cum.append(cum[-1] + int(iv.probability * denom))
-    if cum[-1] != denom:
-        raise ValueError("increment probabilities must sum to 1")
-    draw = _increment_sampler(rng.getrandbits, cum)
+    law = AtomicMeasure({i: iv.probability for i, iv in enumerate(incs)})
+    incs = [incs[i] for i in law.support()]  # increments of probability 0 are never drawn
+    draw = _atom_sampler(law, rng)
     reach = steps * max((abs(x) for iv in incs for x in iv.coords), default=0)
     width = reach.bit_length() + 1
     shifts = range(0, width * dim, width)

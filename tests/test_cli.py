@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from meansets import experiments
 from meansets.cli import main
 from meansets.experiments import derive_seed
 from meansets.freegroup import CayleyGraph
@@ -299,6 +300,22 @@ class TestCheckCommand:
         assert code == 0
         assert "classical-mean-gap" in out
         assert "shift-property" not in out
+
+    def test_single_suite_runs_only_that_suite(self, capsys, monkeypatch):
+        # each suite seeds its cases from its own name, so the one suite
+        # run alone prints its line of the full sweep, and no other runs
+        _, full, _ = run_cli(capsys, "check", "--seed", "42", "--cases", "8")
+        line = next(s for s in full.splitlines() if "classical-mean-gap" in s)
+
+        def boom(rng, inject_fault=False):
+            raise AssertionError("shift-property suite ran")
+
+        monkeypatch.setattr(experiments, "_check_shift_property", boom)
+        code, out, _ = run_cli(
+            capsys, "check", "--suite", "classical-mean-gap", "--seed", "42", "--cases", "8"
+        )
+        assert code == 0
+        assert out == f"invariant sweep, seed 42\n{line}\nALL PASS\n"
 
 
 @pytest.mark.parametrize(

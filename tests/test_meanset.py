@@ -31,7 +31,6 @@ from meansets.graphs import (
 )
 from meansets.measures import AtomicMeasure, Sample, empirical, shift
 from meansets.meanset import (
-    certify_radius,
     classical_mean_gap,
     direct_descent,
     line_mean_set,
@@ -198,31 +197,6 @@ class TestMeanSetExact:
         # "aA" is unreduced, so it names no vertex of F2
         with pytest.raises(VertexIdError):
             weight(CayleyGraph(2), AtomicMeasure.point_mass("aA"), "e", 2)
-
-
-class TestCertifyRadius:
-    def test_point_mass_certifies(self):
-        g = path_graph(5)
-        assert certify_radius(g, AtomicMeasure.point_mass(2), 2, 2)
-
-    def test_zero_mass_at_center_never_certifies(self):
-        g = path_graph(5)
-        mu = AtomicMeasure.uniform([0, 4])
-        assert not certify_radius(g, mu, 2, 2)
-
-    def test_certificate_implies_containment(self):
-        rng = random.Random(404)
-        hits = 0
-        for _ in range(200):
-            g = random_connected_graph(rng, 10)
-            mu = random_measure(g.vertices(), rng)
-            v0 = rng.choice(g.vertices())
-            r = rng.randint(1, 6)
-            if certify_radius(g, mu, v0, r):
-                hits += 1
-                res = mean_set_exact(g, mu, 2)
-                assert res.vertices <= g.ball(v0, r)
-        assert hits > 10  # the check must actually fire
 
 
 class TestMeanSetBounded:

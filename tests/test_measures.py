@@ -1,5 +1,7 @@
 import random
+from bisect import bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -7,6 +9,7 @@ import pytest
 from meansets.errors import MeasureFormatError, RankMismatchError
 from meansets.freegroup import word_from_str
 from meansets.measures import (
+    _CHUNK,
     AtomicMeasure,
     Sample,
     draw,
@@ -102,6 +105,38 @@ class TestDraw:
     def test_needs_positive_n(self):
         with pytest.raises(ValueError):
             draw(AtomicMeasure.point_mass(0), 0, random.Random(0))
+
+    @pytest.mark.parametrize("n", [1, 2, 257, 1000, _CHUNK + 1])
+    @pytest.mark.parametrize(
+        "masses",
+        [
+            {0: 4, 1: 1, 2: 3, 3: 1, 4: 3},
+            {"a": Fraction(1, 3), "b": Fraction(1, 5), "c": Fraction(7, 15)},
+            {0: 1, 1: 254},
+            {0: 1, 1: 255},
+            {0: 2, 1: 7, 2: 291},
+            {"x": Fraction(1, 7), "y": Fraction(2, 11), "z": Fraction(3, 13)},
+            {0: 1, 1: 2**33},
+            {0: Fraction(1, 2**32 + 15), 1: Fraction(5, 3)},
+        ],
+        ids=["int-12", "fraction-15", "int-255", "int-256", "int-300", "fraction-1001",
+             "int-past-2**32", "fraction-past-2**32"],
+    )
+    def test_matches_one_randrange_per_draw(self, masses, n):
+        # draw makes its draws in bulk; the counts and the state rng is left
+        # in must be those of one randrange(denominator) call per draw
+        mu = AtomicMeasure.from_masses(masses)
+        denom, nums = mu.numerators()
+        atoms, cum = list(nums), list(accumulate(nums.values()))
+        for seed in range(3):
+            ref = random.Random(seed)
+            counts: dict = {}
+            for _ in range(n):
+                v = atoms[bisect_right(cum, ref.randrange(denom))]
+                counts[v] = counts.get(v, 0) + 1
+            rng = random.Random(seed)
+            assert draw(mu, n, rng) == Sample(counts)
+            assert rng.getstate() == ref.getstate()
 
 
 class TestEmpirical:

@@ -7,14 +7,13 @@ import pytest
 
 from meansets.errors import NotMeanSetError, UnreachableVertexError
 from meansets.graphs import integer_line, path_graph, star_graph
-from meansets.measures import AtomicMeasure
+from meansets.measures import AtomicMeasure, _increment_sampler
 from meansets.meanset import mean_set_exact, weight
 from meansets.multivertex import (
     _BLOCK,
     IncrementVector,
     WalkResult,
     WalkState,
-    _increment_sampler,
     dimension_invariance_check,
     first_moment,
     genuine_dimension,
