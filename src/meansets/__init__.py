@@ -9,7 +9,6 @@ sample mean-sets converge to the true one.
 """
 
 from .errors import (
-    DescentStepLimitError,
     GraphFormatError,
     InfiniteGraphError,
     MeansetsError,
@@ -48,7 +47,6 @@ from .measures import AtomicMeasure, Sample, draw, empirical, load_measure, pars
 from .meanset import (
     MeanSetResult,
     classical_mean_gap,
-    direct_descent,
     line_mean_set,
     mean_set_bounded,
     mean_set_exact,

@@ -29,7 +29,7 @@ from .experiments import (
     table_to_json,
 )
 from .freegroup import CayleyGraph, word_from_str, word_to_str
-from .graphs import load_graph
+from .graphs import ExplicitGraph, load_graph
 from .measures import load_measure
 from .meanset import (
     mean_set_bounded,
@@ -132,7 +132,7 @@ def _cmd_meanset(args) -> int:
     if method == "auto":
         result = measure_mean_set(g, mu, args.weight_class)
     elif method == "exact":
-        if not g.is_explicit:
+        if not isinstance(g, ExplicitGraph):
             raise MeansetsError("--method exact needs a finite explicit graph")
         result = mean_set_exact(g, mu, args.weight_class)
     elif method == "descent":
@@ -185,18 +185,15 @@ def _cmd_walk(args) -> int:
 
 def _cmd_table(args) -> int:
     cfg = ExperimentConfig(
-        kind="table-f4",
         rank=args.rank,
         lengths=args.lengths,
         samples=args.samples,
         trials=args.trials,
         seed=args.seed,
-        out=args.out,
-        fmt=args.format,
     )
     cells = run_table_experiment(cfg, workers=args.workers)
-    text = table_to_json(cfg, cells) if cfg.fmt == "json" else table_to_csv(cells)
-    _write_output(text, cfg.out)
+    text = table_to_json(cfg, cells) if args.format == "json" else table_to_csv(cells)
+    _write_output(text, args.out)
     return 0
 
 
@@ -278,10 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except MeansetsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (MeansetsError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

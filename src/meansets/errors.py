@@ -26,13 +26,8 @@ class UnreachableAtomError(MeansetsError):
     """A measure atom is not reachable from the vertex being weighted."""
 
 
-class DescentStepLimitError(MeansetsError):
-    """Direct descent exceeded its step bound; the objective violates the
-    local-finiteness assumptions under which descent terminates."""
-
-
 class NotATreeError(MeansetsError):
-    """Direct descent was asked to solve on a graph that is not a tree
+    """The tree solver was asked to solve on a graph that is not a tree
     (explicit with cycles, or implicit and not declared a tree), where a
     local minimum of the weight need not be a global one."""
 

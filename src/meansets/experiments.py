@@ -41,14 +41,11 @@ def derive_seed(master: int, *parts) -> int:
 
 @dataclass
 class ExperimentConfig:
-    kind: str = "table-f4"
     rank: int = 4
     lengths: tuple = (5, 10, 20, 50)
     samples: tuple = (2, 4, 6, 8, 10, 12, 14, 16)
     trials: int = 1000
     seed: int = 42
-    out: str | None = None     # None writes to stdout
-    fmt: str = "csv"
 
     def __post_init__(self):
         if self.trials < 1:
@@ -57,8 +54,8 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be strictly increasing")
         if any(n < 1 for n in self.samples):
             raise ValueError("sample sizes must be positive")
-        if self.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown output format {self.fmt!r}")
+        if any(length < 0 for length in self.lengths):
+            raise ValueError("sphere lengths must be >= 0")
 
 
 @dataclass(slots=True)
@@ -167,7 +164,7 @@ def table_to_csv(cells: list[CellResult]) -> str:
 def table_to_json(cfg: ExperimentConfig, cells: list[CellResult]) -> str:
     payload = {
         "config": {
-            "kind": cfg.kind,
+            "kind": "table-f4",
             "rank": cfg.rank,
             "lengths": list(cfg.lengths),
             "samples": list(cfg.samples),
@@ -217,6 +214,8 @@ def run_decay_experiment(
     S_n != E; with containment a miss is S_n not a subset of E, which also
     covers multi-vertex truths.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     truth = measure_mean_set(graph, mu, 2).vertices
     if len(truth) > 1 and not containment:
         raise NonSingletonTruthError(

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 import re
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import RankMismatchError, VertexIdError
 from .graphs import ImplicitGraph
@@ -147,7 +147,9 @@ def sample_sphere(rank: int, length: int, rng: random.Random) -> ReducedWord:
     Built as a no-backtracking chain: first letter uniform over 2r symbols,
     each following letter uniform over the 2r - 1 symbols that do not cancel.
     """
-    if length == 0:
+    if length <= 0:
+        if length < 0:
+            raise ValueError("length must be >= 0")
         return ReducedWord(rank)
     table = _ALT_CACHE.get(rank)
     if table is None:
@@ -173,27 +175,6 @@ def cayley_neighbors(w: ReducedWord) -> list[ReducedWord]:
             else:
                 out.append(_trusted_word(w.rank, w.letters + (x,)))
     return out
-
-
-def enumerate_ball(rank: int, radius: int) -> Iterator[ReducedWord]:
-    """All reduced words of length <= radius, shortest first."""
-
-    def extend(letters: tuple, remaining: int) -> Iterator[tuple]:
-        yield letters
-        if remaining == 0:
-            return
-        last = letters[-1] if letters else 0
-        for i in range(1, rank + 1):
-            for x in (i, -i):
-                if x != -last:
-                    yield from extend(letters + (x,), remaining - 1)
-
-    by_length: dict[int, list] = {}
-    for letters in extend((), radius):
-        by_length.setdefault(len(letters), []).append(letters)
-    for n in sorted(by_length):
-        for letters in by_length[n]:
-            yield ReducedWord(rank, letters)
 
 
 # -- serialization ----------------------------------------------------------
@@ -296,7 +277,7 @@ class CayleyGraph(ImplicitGraph):
             for x in (i, -i)
         }
         self._sep = "" if rank <= 26 else " "
-        super().__init__(None, is_tree=True, name=f"F{rank}")
+        super().__init__(None, is_tree=True)
 
     def neighbors(self, v: str) -> tuple:
         """v times each generator and inverse, in cayley_neighbors order; the

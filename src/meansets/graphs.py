@@ -24,7 +24,6 @@ class Graph:
     instance can be shared by any number of callers.
     """
 
-    is_explicit = False
     is_tree = False
 
     def neighbors(self, v) -> tuple:
@@ -83,8 +82,6 @@ class ExplicitGraph(Graph):
     The constructor rejects self-loops and parallel edges (they never change
     distances) and requires connectivity.
     """
-
-    is_explicit = True
 
     def __init__(self, edges: Iterable[tuple]):
         adj: dict = {}
@@ -177,12 +174,10 @@ class ImplicitGraph(Graph):
         neighbor_fn: Callable,
         distance_fn: Callable | None = None,
         is_tree: bool = False,
-        name: str = "implicit",
     ):
         self._neighbor_fn = neighbor_fn
         self._distance_fn = distance_fn
         self.is_tree = is_tree
-        self.name = name
 
     def neighbors(self, v) -> tuple:
         return tuple(self._neighbor_fn(v))
@@ -205,7 +200,6 @@ def integer_line() -> ImplicitGraph:
         lambda n: (n - 1, n + 1),
         distance_fn=lambda a, b: abs(a - b),
         is_tree=True,
-        name="integer-line",
     )
 
 
@@ -214,7 +208,6 @@ def integer_grid() -> ImplicitGraph:
     return ImplicitGraph(
         lambda p: ((p[0] - 1, p[1]), (p[0] + 1, p[1]), (p[0], p[1] - 1), (p[0], p[1] + 1)),
         distance_fn=lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1]),
-        name="integer-grid",
     )
 
 

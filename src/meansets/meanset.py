@@ -30,17 +30,10 @@ from fractions import Fraction
 from itertools import accumulate
 from operator import itemgetter, mul
 
-from .errors import (
-    DescentStepLimitError,
-    NotATreeError,
-    UnreachableAtomError,
-    UnreachableVertexError,
-)
+from .errors import NotATreeError, UnreachableAtomError, UnreachableVertexError
 from .freegroup import CayleyGraph, _str_lcp
 from .graphs import ExplicitGraph, Graph
 from .measures import AtomicMeasure, Sample, empirical
-
-DEFAULT_STEP_LIMIT = 10**6
 
 
 @dataclass(frozen=True)
@@ -162,32 +155,6 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
     return _argmin(g.vertices(), f, denom, c, "exact")
 
 
-def direct_descent(g: Graph, f, start, max_steps: int = DEFAULT_STEP_LIMIT):
-    """Walk to strictly smaller neighbors until none exists.
-
-    Among strictly smaller neighbors the one with the smallest value is
-    taken, remaining ties broken by vertex order, so runs are reproducible.
-    Returns a local minimizer of f; when f is locally decreasing and locally
-    finite this is a global minimizer.  More than `max_steps` moves raise
-    DescentStepLimitError.
-    """
-    v, fv = start, f(start)
-    for _ in range(max_steps + 1):
-        best_u = None
-        best_fu = fv
-        for u in g.neighbors(v):
-            fu = f(u)
-            if fu < best_fu or (fu == best_fu and best_u is not None and u < best_u):
-                best_u = u
-                best_fu = fu
-        if best_u is None:
-            return v
-        v, fv = best_u, best_fu
-    raise DescentStepLimitError(
-        f"descent exceeded {max_steps} steps; objective is not locally finite"
-    )
-
-
 def _sorted_support_descent(keys: tuple, masses: tuple, c: int):
     """Exact argmin on a tree rooted at the empty key: direct descent from
     the root, every child scored from range sums over the sorted support.
@@ -285,7 +252,8 @@ def _bfs_path_keys(g: Graph, nums: dict):
 
 
 def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
-    """Mean-set of a measure on a tree, exact.
+    """Mean-set of a measure on a tree, exact: the paper's direct-descent
+    algorithm, which on a tree always reaches the global argmin.
 
     The solver keys each atom by its path from a root and descends from the
     root over the atoms sorted by key (see `_sorted_support_descent`), with

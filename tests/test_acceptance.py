@@ -70,8 +70,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 @pytest.fixture(scope="module")
 def full_table():
     cfg = ExperimentConfig(
-        kind="table-f4", rank=4, lengths=(5, 10, 20, 50),
-        samples=TABLE_SAMPLES, trials=1000, seed=MASTER_SEED,
+        rank=4, lengths=(5, 10, 20, 50), samples=TABLE_SAMPLES, trials=1000, seed=MASTER_SEED,
     )
     return {(c.length, c.n): c for c in run_table_experiment(cfg)}
 

@@ -344,3 +344,18 @@ def test_bad_numeric_argument_exits_2(capsys, path_instance, argv, flag):
     err = capsys.readouterr().err
     assert f"error: argument {flag}:" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["meanset", "decay"])
+@pytest.mark.parametrize("which", ["graph", "measure"])
+def test_non_utf8_file_exits_2(capsys, tmp_path, path_instance, command, which):
+    files = dict(zip(("graph", "measure"), path_instance))
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xff\xfe0 1\n")
+    files[which] = str(bad)
+    argv = [command, "--graph", files["graph"], "--measure", files["measure"]]
+    if command == "decay":
+        argv += ["--samples", "4"]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1

@@ -12,13 +12,15 @@ from meansets.experiments import (
     table_to_csv,
     table_to_json,
 )
-from meansets.freegroup import CayleyGraph, enumerate_ball, word_to_str
+from meansets.freegroup import CayleyGraph, word_to_str
 from meansets.graphs import path_graph
 from meansets.measures import AtomicMeasure
 
+from freewords import sphere_words
+
 
 def sphere_measure(rank: int, length: int) -> AtomicMeasure:
-    words = [word_to_str(w) for w in enumerate_ball(rank, length) if len(w) == length]
+    words = [word_to_str(w) for w in sphere_words(rank, length)]
     return AtomicMeasure.uniform(words)
 
 
@@ -44,6 +46,11 @@ class TestConfig:
     def test_validates_trials(self):
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
+
+    def test_validates_lengths(self):
+        with pytest.raises(ValueError):
+            ExperimentConfig(lengths=(-3,))
+        ExperimentConfig(lengths=(0,))
 
 
 class TestTableExperiment:
@@ -117,6 +124,10 @@ class TestDecayExperiment:
         mu = AtomicMeasure.point_mass(1)
         points = run_decay_experiment(g, mu, (2, 4, 8), trials=50, seed=1)
         assert all(p.misses == 0 for p in points)
+
+    def test_trials_must_be_positive(self):
+        with pytest.raises(ValueError):
+            run_decay_experiment(path_graph(4), AtomicMeasure.point_mass(1), (2,), trials=0, seed=1)
 
     def test_non_singleton_truth_rejected(self):
         g = path_graph(2)

@@ -10,7 +10,6 @@ from meansets.freegroup import (
     CayleyGraph,
     ReducedWord,
     cayley_neighbors,
-    enumerate_ball,
     fg_distance,
     identity,
     generator,
@@ -21,6 +20,8 @@ from meansets.freegroup import (
     word_to_str,
 )
 from meansets.randomgen import random_word
+
+from freewords import ball_words, sphere_words
 
 # 0.999 quantile of the chi-square distribution with 35 degrees of freedom
 CHI2_35_DF_999 = 66.62
@@ -108,7 +109,7 @@ class TestSphereSize:
         assert sphere_size(4, 2) == 56
 
     def test_matches_enumeration(self):
-        words = list(enumerate_ball(2, 3))
+        words = ball_words(2, 3)
         by_len = Counter(len(w) for w in words)
         assert by_len[3] == 36 == sphere_size(2, 3)
         assert by_len[0] == 1 == sphere_size(2, 0)
@@ -121,6 +122,10 @@ class TestSampleSphere:
         rng = random.Random(0)
         for _ in range(10):
             assert sample_sphere(3, 0, rng) == identity(3)
+
+    def test_negative_length_rejected(self):
+        with pytest.raises(ValueError):
+            sample_sphere(4, -1, random.Random(0))
 
     def test_exact_length_and_reduced(self):
         rng = random.Random(5)
@@ -137,7 +142,7 @@ class TestSampleSphere:
             assert abs(c / 10_000 - 0.25) < 0.02
 
     def test_rank2_length3_chi_square(self):
-        sphere = [word_to_str(w) for w in enumerate_ball(2, 3) if len(w) == 3]
+        sphere = [word_to_str(w) for w in sphere_words(2, 3)]
         assert len(sphere) == 36
         rng = random.Random(31415)
         n = 100_000

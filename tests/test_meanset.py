@@ -5,7 +5,6 @@ from fractions import Fraction
 import pytest
 
 from meansets.errors import (
-    DescentStepLimitError,
     NotATreeError,
     UnreachableAtomError,
     VertexIdError,
@@ -13,7 +12,6 @@ from meansets.errors import (
 from meansets.freegroup import (
     CayleyGraph,
     ReducedWord,
-    enumerate_ball,
     fg_distance,
     multiply,
     sample_sphere,
@@ -32,7 +30,6 @@ from meansets.graphs import (
 from meansets.measures import AtomicMeasure, Sample, empirical, shift
 from meansets.meanset import (
     classical_mean_gap,
-    direct_descent,
     line_mean_set,
     mean_set_bounded,
     mean_set_exact,
@@ -49,6 +46,8 @@ from meansets.randomgen import (
     random_word,
     random_word_measure,
 )
+
+from freewords import ball_words
 
 
 def brute_force_mean_set(g: ExplicitGraph, mu: AtomicMeasure, c: int):
@@ -222,7 +221,7 @@ class TestMeanSetBounded:
         atoms = {word_from_str(v, 2): mu[v] for v in mu.support()}
         best = None
         best_words = []
-        for w in enumerate_ball(2, 6):
+        for w in ball_words(2, 6):
             val = sum((Fraction(fg_distance(w, s)) ** 2 * p for s, p in atoms.items()),
                       Fraction(0))
             if best is None or val < best:
@@ -304,33 +303,57 @@ class TestMeanSetBounded:
             assert res.min_weight == best
 
 
+def reference_descent(g, mu: AtomicMeasure, c: int, start=None):
+    """The paper's direct descent on the graph's own distance and neighbors:
+    from `start` (by default the heaviest atom, ties broken by vertex order)
+    move to the lightest neighbour, ties broken by vertex order, while it is
+    strictly lighter, then flood the equal-weight region around the vertex
+    reached.  Returns the region and its weight.  On a tree the weight is
+    convex, so this is the mean-set: the reference for the tree solver,
+    which runs the same descent over sorted keys."""
+    cache: dict = {}
+
+    def f(v):
+        if v not in cache:
+            cache[v] = sum((Fraction(g.distance(s, v)) ** c * mu[s] for s in mu.support()),
+                           Fraction(0))
+        return cache[v]
+
+    v = min(mu.support(), key=lambda s: (-mu[s], s)) if start is None else start
+    while True:
+        u = min(g.neighbors(v), key=lambda u: (f(u), u))
+        if f(u) >= f(v):
+            break
+        v = u
+    region = {v}
+    frontier = [v]
+    while frontier:
+        for u in g.neighbors(frontier.pop()):
+            if u not in region and f(u) == f(v):
+                region.add(u)
+                frontier.append(u)
+    return frozenset(region), f(v)
+
+
 class TestDirectDescent:
     def test_single_step_on_path(self):
         g = path_graph(3)
         mu = AtomicMeasure.uniform([0, 2])
-        f = lambda v: weight(g, mu, v, 2)
-        assert direct_descent(g, f, 0) == 1
+        assert reference_descent(g, mu, 2, start=0) == (frozenset([1]), Fraction(1))
 
     def test_start_at_minimum_stays(self):
         g = path_graph(3)
         mu = AtomicMeasure.uniform([0, 2])
-        f = lambda v: weight(g, mu, v, 2)
-        assert direct_descent(g, f, 1) == 1
+        assert reference_descent(g, mu, 2, start=1) == (frozenset([1]), Fraction(1))
 
     def test_lands_in_mean_set_on_random_trees(self):
         rng = random.Random(31337)
         for _ in range(200):
             tree = random_tree(rng, 20)
             mu = random_measure(tree.vertices(), rng)
-            f = lambda v: weight(tree, mu, v, 2)
             start = rng.choice(tree.vertices())
-            found = direct_descent(tree, f, start)
-            assert found in mean_set_exact(tree, mu, 2).vertices
-
-    def test_step_limit_guard(self):
-        line = integer_line()
-        with pytest.raises(DescentStepLimitError):
-            direct_descent(line, lambda v: -v, 0, max_steps=50)
+            exact = mean_set_exact(tree, mu, 2)
+            assert reference_descent(tree, mu, 2, start) == (exact.vertices, exact.min_weight)
 
 
 class TestMeanSetTree:
@@ -374,7 +397,7 @@ class TestMeanSetTree:
         atoms = {word_from_str(v, 4): mu[v] for v in mu.support()}
         best = None
         best_words = set()
-        for w in enumerate_ball(4, 5):
+        for w in ball_words(4, 5):
             val = sum((Fraction(fg_distance(w, s)) ** 2 * p for s, p in atoms.items()),
                       Fraction(0))
             if best is None or val < best:
@@ -481,34 +504,6 @@ class TestTreeSolverDifferential:
         assert (res.vertices, res.min_weight) == (ref.vertices, ref.min_weight) == (
             frozenset([6700]), Fraction(6700**2 + 6600**2 + 13300**2, 3))
         assert res.steps == 6700
-
-
-def reference_descent(g, mu: AtomicMeasure, c: int):
-    """Direct descent from the heaviest atom, then the equal-weight flood
-    fill, on the graph's own distance and neighbors: the free-group solver
-    the prefix-trie scan replaced, kept as a reference."""
-    cache: dict = {}
-
-    def f(v):
-        if v not in cache:
-            cache[v] = sum((Fraction(g.distance(s, v)) ** c * mu[s] for s in mu.support()),
-                           Fraction(0))
-        return cache[v]
-
-    v = min(mu.support(), key=lambda s: (-mu[s], s))
-    while True:
-        u = min(g.neighbors(v), key=lambda u: (f(u), u))
-        if f(u) >= f(v):
-            break
-        v = u
-    region = {v}
-    frontier = [v]
-    while frontier:
-        for u in g.neighbors(frontier.pop()):
-            if u not in region and f(u) == f(v):
-                region.add(u)
-                frontier.append(u)
-    return frozenset(region), f(v)
 
 
 def prefix_hull_scan(rank: int, mu: AtomicMeasure, c: int):
