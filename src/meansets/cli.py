@@ -275,7 +275,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (MeansetsError, OSError, UnicodeDecodeError) as exc:
+    except (MeansetsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

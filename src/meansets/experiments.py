@@ -96,7 +96,7 @@ def run_table_cell(rank: int, length: int, n: int, trials: int, seed: int) -> Ce
         rng = random.Random(derive_seed(seed, "table", rank, length, n, trial))
         counts: dict[str, int] = {}
         for _ in range(n):
-            wid = word_to_str(sample_sphere(rank, length, rng))
+            wid = sample_sphere(rank, length, rng)
             counts[wid] = counts.get(wid, 0) + 1
         result = mean_set_tree(graph, AtomicMeasure.from_masses(counts), 2)
         ds = [dist(center, v) for v in result.vertices]

@@ -12,14 +12,16 @@ uppercase form (rank <= 26); higher ranks use space-separated "g3"/"G7"
 tokens.  The empty word is spelled "e" up to rank 4; from rank 5 on the
 letter e names generator 5, so the empty word is spelled "1" there.  The
 serialized string doubles as the vertex id of the Cayley graph, so the
-graph layer can order and hash vertices without knowing about words.  The
-graph reads every id through `CayleyGraph.path_key`, which gives both
-spellings one form: the sequence of letters or tokens whose prefixes spell
-the geodesic from the identity.
+graph layer can order and hash vertices without knowing about words, and
+`sample_sphere` draws ids directly.  The graph reads every id it is given
+through `CayleyGraph.path_key`, which gives both spellings one form: the
+sequence of letters or tokens whose prefixes spell the geodesic from the
+identity.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from typing import Iterable
@@ -129,38 +131,42 @@ def sphere_size(rank: int, length: int) -> int:
     return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
-def _letter_alternatives(rank: int) -> dict[int, tuple]:
-    # alternatives[x] = every letter except -x; key 0 = no constraint
-    everything = tuple(range(-rank, 0)) + tuple(range(1, rank + 1))
-    table = {0: everything}
-    for x in everything:
-        table[x] = tuple(y for y in everything if y != -x)
+@functools.cache
+def _successors(rank: int) -> dict[str, tuple]:
+    """Id letter (a letter, or a g/G token above rank 26) -> the letters that
+    may follow it in a reduced word, in the order x^-r..x^-1, x1..xr; the key
+    "" (no letter yet) maps to all 2r letters."""
+    letters = tuple(word_to_str(generator(rank, x)) for x in range(-rank, rank + 1) if x)
+    table = {"": letters}
+    # letters[i] and letters[-1 - i] are inverses
+    for x, inverse in zip(letters, reversed(letters)):
+        table[x] = tuple(y for y in letters if y != inverse)
     return table
 
 
-_ALT_CACHE: dict[int, dict] = {}
-
-
-def sample_sphere(rank: int, length: int, rng: random.Random) -> ReducedWord:
-    """Uniform draw from the sphere of the given length.
+def sample_sphere(rank: int, length: int, rng: random.Random) -> str:
+    """Uniform draw from the sphere of the given length, as its vertex id.
 
     Built as a no-backtracking chain: first letter uniform over 2r symbols,
-    each following letter uniform over the 2r - 1 symbols that do not cancel.
+    each following letter uniform over the 2r - 1 symbols that do not cancel,
+    one `rng.randrange` call per letter.
     """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
     if length <= 0:
         if length < 0:
             raise ValueError("length must be >= 0")
-        return ReducedWord(rank)
-    table = _ALT_CACHE.get(rank)
-    if table is None:
-        table = _ALT_CACHE[rank] = _letter_alternatives(rank)
-    letters = []
-    prev = 0
-    for _ in range(length):
-        choices = table[prev]
-        prev = choices[rng.randrange(len(choices))]
-        letters.append(prev)
-    return _trusted_word(rank, tuple(letters))
+        return empty_spelling(rank)
+    table = _successors(rank)
+    randrange = rng.randrange
+    first = table[""]
+    prev = first[randrange(len(first))]
+    out = [prev]
+    following = len(first) - 1
+    for _ in range(length - 1):
+        prev = table[prev][randrange(following)]
+        out.append(prev)
+    return ("" if rank <= 26 else " ").join(out)
 
 
 def cayley_neighbors(w: ReducedWord) -> list[ReducedWord]:
@@ -280,16 +286,25 @@ class CayleyGraph(ImplicitGraph):
         super().__init__(None, is_tree=True)
 
     def neighbors(self, v: str) -> tuple:
-        """v times each generator and inverse, in cayley_neighbors order; the
-        letter that cancels the key's last element gives v's parent."""
-        key = self.path_key(v)
-        if not key:
+        """v times each generator and inverse, in cayley_neighbors order."""
+        self.path_key(v)
+        return self._id_neighbors(v)
+
+    def _id_neighbors(self, v: str) -> tuple:
+        """`neighbors` of an id already checked: the letter that cancels v's
+        last letter or token gives v's parent."""
+        if v == self.empty_id:
             return tuple(self._inverse)
-        parent, inv_last, prefix = self.key_id(key[:-1]), self._inverse[key[-1]], v + self._sep
-        out = []
-        for x in self._inverse:
-            out.append(parent if x == inv_last else prefix + x)
-        return tuple(out)
+        if self._sep:
+            parent, _, last = v.rpartition(" ")
+        else:
+            parent, last = v[:-1], v[-1]
+        parent, inv_last, prefix = parent or self.empty_id, self._inverse[last], v + self._sep
+        return tuple([parent if x == inv_last else prefix + x for x in self._inverse])
+
+    def _bfs_neighbors(self):
+        # a BFS checks its source, and every other id it meets came from here
+        return self._id_neighbors
 
     def distance(self, a: str, b: str) -> int:
         ka, kb = self.path_key(a), self.path_key(b)

@@ -32,12 +32,19 @@ class Graph:
     def _require_vertex(self, v) -> None:
         """Reject a BFS source outside the vertex set (only explicit graphs can tell)."""
 
+    def _bfs_neighbors(self):
+        """The neighbour function a BFS applies to the vertices it reached
+        from its checked source; a graph whose `neighbors` checks its
+        argument returns one that skips the check."""
+        return self.neighbors
+
     def _layers(self, source):
         """Breadth-first search from `source`, yielding (depth, dist) after
         each completed layer: dist maps every vertex within `depth` of the
         source to its distance.  The first yield is (0, {source: 0}); the
         search ends when a layer adds no vertex."""
         self._require_vertex(source)
+        neighbors = self._bfs_neighbors()
         dist = {source: 0}
         frontier = [source]
         depth = 0
@@ -46,7 +53,7 @@ class Graph:
             depth += 1
             nxt = []
             for v in frontier:
-                for u in self.neighbors(v):
+                for u in neighbors(v):
                     if u not in dist:
                         dist[u] = depth
                         nxt.append(u)
@@ -234,7 +241,13 @@ def parse_graph(text: str) -> ExplicitGraph:
 
 def load_graph(path) -> ExplicitGraph:
     with open(path, encoding="utf-8") as fh:
-        return parse_graph(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise GraphFormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return parse_graph(text)
 
 
 def path_graph(n: int) -> ExplicitGraph:

@@ -224,24 +224,19 @@ def empirical(s: Sample) -> AtomicMeasure:
 def shift(mu: AtomicMeasure, g) -> AtomicMeasure:
     """Left-translate every atom by the word g; weights are unchanged.
 
-    Atoms must be serialized words (or ReducedWord values) of g's rank.
+    Atoms must be vertex ids (serialized words) of g's rank.
     """
     from . import freegroup
 
     translated: dict = {}
     for v, w in mu.items():
-        if isinstance(v, freegroup.ReducedWord):
-            word = v
-        elif isinstance(v, str):
-            try:
-                word = freegroup.word_from_str(v, g.rank)
-            except ValueError as exc:
-                raise RankMismatchError(f"atom {v!r} is not a rank-{g.rank} word") from exc
-        else:
+        if not isinstance(v, str):
             raise RankMismatchError(f"atom {v!r} is not a free-group vertex")
-        moved = freegroup.multiply(g, word)
-        key = moved if isinstance(v, freegroup.ReducedWord) else freegroup.word_to_str(moved)
-        translated[key] = w
+        try:
+            word = freegroup.word_from_str(v, g.rank)
+        except ValueError as exc:
+            raise RankMismatchError(f"atom {v!r} is not a rank-{g.rank} word") from exc
+        translated[freegroup.word_to_str(freegroup.multiply(g, word))] = w
     return AtomicMeasure(translated)
 
 
@@ -292,4 +287,10 @@ def parse_measure(text: str, vertex_parser=None, multi_token: bool = False) -> A
 
 def load_measure(path, vertex_parser=None, multi_token: bool = False) -> AtomicMeasure:
     with open(path, encoding="utf-8") as fh:
-        return parse_measure(fh.read(), vertex_parser=vertex_parser, multi_token=multi_token)
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise MeasureFormatError(
+                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+            ) from None
+    return parse_measure(text, vertex_parser=vertex_parser, multi_token=multi_token)

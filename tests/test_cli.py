@@ -359,3 +359,4 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, path_instance, command, which):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    assert str(bad) in err

@@ -21,7 +21,7 @@ from meansets.freegroup import (
 )
 from meansets.randomgen import random_word
 
-from freewords import ball_words, sphere_words
+from freewords import ball_words, reference_sphere_id, sphere_words
 
 # 0.999 quantile of the chi-square distribution with 35 degrees of freedom
 CHI2_35_DF_999 = 66.62
@@ -121,7 +121,7 @@ class TestSampleSphere:
     def test_length_zero_is_identity(self):
         rng = random.Random(0)
         for _ in range(10):
-            assert sample_sphere(3, 0, rng) == identity(3)
+            assert sample_sphere(3, 0, rng) == "e"
 
     def test_negative_length_rejected(self):
         with pytest.raises(ValueError):
@@ -130,13 +130,12 @@ class TestSampleSphere:
     def test_exact_length_and_reduced(self):
         rng = random.Random(5)
         for _ in range(300):
-            w = sample_sphere(2, 7, rng)
+            w = word_from_str(sample_sphere(2, 7, rng), 2)  # revalidates free reduction
             assert len(w) == 7
-            ReducedWord(w.rank, w.letters)  # revalidates free reduction
 
     def test_rank2_length1_frequencies(self):
         rng = random.Random(2718)
-        counts = Counter(word_to_str(sample_sphere(2, 1, rng)) for _ in range(10_000))
+        counts = Counter(sample_sphere(2, 1, rng) for _ in range(10_000))
         assert set(counts) == {"a", "A", "b", "B"}
         for c in counts.values():
             assert abs(c / 10_000 - 0.25) < 0.02
@@ -146,11 +145,21 @@ class TestSampleSphere:
         assert len(sphere) == 36
         rng = random.Random(31415)
         n = 100_000
-        counts = Counter(word_to_str(sample_sphere(2, 3, rng)) for _ in range(n))
+        counts = Counter(sample_sphere(2, 3, rng) for _ in range(n))
         assert set(counts) <= set(sphere)
         expected = n / 36
         chi2 = sum((counts.get(w, 0) - expected) ** 2 / expected for w in sphere)
         assert chi2 < CHI2_35_DF_999
+
+    @pytest.mark.parametrize("rank", [1, 2, 4, 5, 26, 27, 127, 128])
+    def test_matches_reference_chain(self, rank):
+        # same ids and the same generator state as one randrange per letter
+        # over signed indices, so seeded tables do not depend on the sampler
+        for length in range(51):
+            ours, ref = random.Random(900 + length), random.Random(900 + length)
+            for _ in range(3):
+                assert sample_sphere(rank, length, ours) == reference_sphere_id(rank, length, ref)
+            assert ours.getstate() == ref.getstate()
 
 
 class TestCayleyNeighbors:
@@ -283,6 +292,18 @@ class TestCayleyGraph:
         assert len(ns) == 60
         assert g.distance("g3 G7", "g3") == 1
 
+    @pytest.mark.parametrize("rank, radius", [(2, 5), (4, 3), (27, 2)])
+    def test_ball_matches_enumeration(self, rank, radius):
+        # a BFS checks only its source, so the ids it reaches must come out
+        # canonical from the neighbour step itself
+        g = CayleyGraph(rank)
+        words = ball_words(rank, radius)
+        assert g.ball(g.empty_id, radius) == {word_to_str(w) for w in words}
+        centre = ReducedWord(rank, (1, -2) if rank > 1 else (1, 1))
+        assert g.ball(word_to_str(centre), radius) == {
+            word_to_str(multiply(centre, w)) for w in words
+        }
+
     def test_degree_is_2r_everywhere(self):
         g = CayleyGraph(4)
         rng = random.Random(57)
@@ -322,6 +343,8 @@ class TestCayleyGraph:
             g.neighbors(vid)
         with pytest.raises(VertexIdError):
             g.distance(vid, g.empty_id)
+        with pytest.raises(VertexIdError):
+            g.ball(vid, 1)
 
     @pytest.mark.parametrize(
         "rank, vid",

@@ -622,10 +622,10 @@ class TestFreeGroupPrefixTrie:
         # its geodesic, so the descent runs deep
         rng = random.Random(8400 + rank)
         g = CayleyGraph(rank)
-        heavy = word_to_str(sample_sphere(rank, 200, rng))
+        heavy = sample_sphere(rank, 200, rng)
         masses = {heavy: 5}
         for _ in range(3):
-            masses.setdefault(word_to_str(sample_sphere(rank, 200, rng)), 1)
+            masses.setdefault(sample_sphere(rank, 200, rng), 1)
         mu = AtomicMeasure.from_masses(masses)
         for c in (1, 2):
             self.assert_agree(g, mu, c)

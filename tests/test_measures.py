@@ -203,6 +203,12 @@ class TestShift:
         with pytest.raises(RankMismatchError):
             shift(mu, word_from_str("a", 2))
 
+    def test_word_object_atom_rejected(self):
+        # atoms are vertex ids; a ReducedWord is not one
+        mu = AtomicMeasure.from_masses({word_from_str("b", 2): 1})
+        with pytest.raises(RankMismatchError):
+            shift(mu, word_from_str("a", 2))
+
 
 class TestParsing:
     def test_integer_masses(self):
