@@ -68,8 +68,8 @@ def _nonnegative_int(text: str) -> int:
     return _int_at_least(text, 0)
 
 
-def _int_list(text: str, minimum: int = 0) -> tuple[int, ...]:
-    """Comma-separated integers, each at least `minimum`."""
+def _increasing(text: str, minimum: int, what: str) -> tuple[int, ...]:
+    """Comma-separated integers, each at least `minimum`, strictly increasing."""
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
@@ -78,15 +78,19 @@ def _int_list(text: str, minimum: int = 0) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if min(values) < minimum:
         raise argparse.ArgumentTypeError(f"values must be at least {minimum}, got {text!r}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise argparse.ArgumentTypeError(f"{what} must be strictly increasing, got {text!r}")
     return values
 
 
 def _sample_sizes(text: str) -> tuple[int, ...]:
     """Comma-separated sample sizes: positive and strictly increasing."""
-    sizes = _int_list(text, minimum=1)
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise argparse.ArgumentTypeError(f"sample sizes must be strictly increasing, got {text!r}")
-    return sizes
+    return _increasing(text, 1, "sample sizes")
+
+
+def _lengths(text: str) -> tuple[int, ...]:
+    """Comma-separated sphere lengths: nonnegative and strictly increasing."""
+    return _increasing(text, 0, "sphere lengths")
 
 
 def _load_instance(args):
@@ -239,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table-f4", help="sphere-sampling convergence table")
     p.add_argument("--rank", type=_positive_int, default=4)
-    p.add_argument("--lengths", type=_int_list, default=(5, 10, 20, 50))
+    p.add_argument("--lengths", type=_lengths, default=(5, 10, 20, 50))
     p.add_argument("--samples", type=_sample_sizes, default=(2, 4, 6, 8, 10, 12, 14, 16))
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=42)

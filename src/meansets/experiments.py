@@ -56,6 +56,8 @@ class ExperimentConfig:
             raise ValueError("sample sizes must be positive")
         if any(length < 0 for length in self.lengths):
             raise ValueError("sphere lengths must be >= 0")
+        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
+            raise ValueError("sphere lengths must be strictly increasing")
 
 
 @dataclass(slots=True)

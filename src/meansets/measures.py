@@ -157,27 +157,31 @@ def _increment_sampler(getrandbits, cum: list):
     values of one stream of getrandbits(k) draws.  getrandbits(k) for
     k <= 32 is the top k bits of one 32-bit word, and getrandbits(32 * m)
     is m such words, the first one lowest.  For k <= 8 a call takes m words
-    in one getrandbits call and maps the top byte of each through a table
-    (0 for a redraw); larger k draw getrandbits(k) one at a time and
-    bisect.  Either way no call asks for more draws than values are still
-    missing, so the generator ends where count calls of randrange leave it.
+    in one getrandbits call and reads the top byte b of each, whose value
+    is r = b >> 8 - k: one bytes.translate pass maps each accepted byte
+    through a table to its increment and deletes the redraws, the bytes
+    n << 8 - k and up, whose r is at least n.  Larger k draw
+    getrandbits(k) one at a time and bisect.  Either way no call asks for
+    more draws than values are still missing, so the generator ends where
+    count calls of randrange leave it.
     """
     n = cum[-1]
     k = n.bit_length()
     if k <= 8:
-        # the top byte b reads r = b >> 8 - k, so each r fills 2**(8 - k) entries
+        # each r fills 2**(8 - k) entries; the padding is never read
         table = b"".join(
             bytes([i]) * (hi - lo << 8 - k)
             for i, (lo, hi) in enumerate(pairwise(cum), 1)
             if hi > lo
         ).ljust(256, b"\0")
+        redraw = bytes(range(n << 8 - k, 256))
 
         def draw(count: int) -> bytes:
             out = b""
             while len(out) < count:
                 m = count - len(out)
                 top = getrandbits(32 * m).to_bytes(4 * m, "little")[3::4]
-                out += top.translate(table).replace(b"\0", b"")
+                out += top.translate(table, redraw)
             return out
 
     else:

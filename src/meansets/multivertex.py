@@ -19,8 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
-from operator import lshift
+from itertools import accumulate, product, repeat
+from operator import and_, itemgetter, lshift
 
 from .errors import NotMeanSetError
 from .graphs import Graph
@@ -257,10 +257,14 @@ def simulate_walk(
     every field's top bit is set: one `&` with a mask of those bits plus a
     bit above the top field, which only a negative int has.  Steps run in
     blocks of _BLOCK: a block draws its increments in bulk as
-    measures.draw does, adds up the packed increments in one running sum
-    and unpacks positions only for the trace and the end.  The result, and
-    the state rng is left in, equal those of one randrange call per step,
-    in O(_BLOCK) memory.
+    measures.draw does, gathers their packed ints in one itemgetter call
+    (led by the never-drawn index 0, whose packed int is 0, so the call
+    returns a tuple even for one step), adds them up in one running sum
+    and unpacks positions only for the trace and the end.  A block whose
+    positions are all negative ints is not tested: each has a negative
+    last coordinate, so none is in the orthant, in every dimension.  The
+    result, and the state rng is left in, equal those of one randrange
+    call per step, in O(_BLOCK) memory.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
@@ -293,13 +297,14 @@ def simulate_walk(
     trace = [WalkState(step=0, position=position(q))]
     for start in range(0, steps, _BLOCK):
         size = min(_BLOCK, steps - start)
-        qs = list(accumulate(map(packed.__getitem__, draw(size)), initial=q))
-        del qs[0]
-        flags = list(map(mask.__and__, qs))
-        hits = flags.count(high)
-        if hits:
-            visits += hits
-            last_visit = start + size - flags[::-1].index(high)
+        qs = list(accumulate(itemgetter(0, *draw(size))(packed), initial=q))
+        del qs[:2]  # q itself, then q + 0
+        if max(qs) >= 0:
+            flags = list(map(and_, qs, repeat(mask)))
+            hits = flags.count(high)
+            if hits:
+                visits += hits
+                last_visit = start + size - flags[::-1].index(high)
         first = (start // trace_every + 1) * trace_every
         trace += [
             WalkState(step=n, position=position(qs[n - start - 1]))

@@ -328,12 +328,15 @@ class TestCheckCommand:
         (["decay", "--graph", "{graph}", "--measure", "{measure}", "--samples", "0"],
          "--samples"),
         (["table-f4", "--lengths", "-1"], "--lengths"),
+        (["table-f4", "--lengths", "5,5"], "--lengths"),
+        (["table-f4", "--lengths", "20,5"], "--lengths"),
         (["check", "--cases", "0"], "--cases"),
         (["walk", "--graph", "{graph}", "--measure", "{measure}", "--coeff-bound", "-3"],
          "--coeff-bound"),
     ],
     ids=["free-rank-0", "trials-0", "steps-0", "samples-decreasing", "decay-samples-0",
-         "lengths-negative", "cases-0", "coeff-bound-negative"],
+         "lengths-negative", "lengths-repeated", "lengths-decreasing", "cases-0",
+         "coeff-bound-negative"],
 )
 def test_bad_numeric_argument_exits_2(capsys, path_instance, argv, flag):
     graph, measure = path_instance

@@ -52,6 +52,14 @@ class TestConfig:
             ExperimentConfig(lengths=(-3,))
         ExperimentConfig(lengths=(0,))
 
+    def test_validates_length_order(self):
+        # a repeated length would run and write its cells twice; an
+        # unsorted one would echo an order the sorted cells do not have
+        for lengths in ((5, 5), (20, 5), (0, 10, 10)):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                ExperimentConfig(lengths=lengths)
+        ExperimentConfig(lengths=(0, 1, 5))
+
 
 class TestTableExperiment:
     def test_cell_counts_sum_to_trials(self):

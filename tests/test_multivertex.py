@@ -338,7 +338,7 @@ def assert_matches_reference(incs, steps, seed, trace_every=100):
     return expected
 
 
-@pytest.mark.parametrize("steps", [_BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
+@pytest.mark.parametrize("steps", [1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 1])
 @pytest.mark.parametrize("dim", range(7))
 def test_walk_matches_per_step_reference(dim, steps):
     # small weights give denominators of at most 8 bits (the byte draw),
@@ -363,6 +363,22 @@ def test_walk_reaches_field_width_bound(dim, magnitude):
         # a second, shorter increment keeps the drift one-sided
         incs = [iv(coords, 1, 2), iv([x // 2 for x in coords], 1, 2)]
         assert_matches_reference(incs, steps, dim + 1, trace_every=7)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_walk_negative_drift_skips_blocks(dim):
+    # the last coordinate steps +1 w.p. 2/5 and -1 w.p. 3/5 while the others
+    # drift up: early blocks visit the orthant and are tested, later blocks
+    # lie wholly below it (every packed position negative) and are skipped;
+    # one seed draws the same steps in every dimension, and its walk
+    # returns to the orthant a few times before it drifts away
+    steps = 20 * _BLOCK
+    incs = [iv([1] * (dim - 1) + [1], 2, 5), iv([2] * (dim - 1) + [-1], 3, 5)]
+    expected = assert_matches_reference(incs, steps, 8, trace_every=1)
+    lasts = [state.position[-1] for state in expected.trace[1:]]
+    tops = [max(lasts[i:i + _BLOCK]) for i in range(0, steps, _BLOCK)]
+    assert expected.orthant_visits > 0
+    assert tops[0] >= 0 and tops[-1] < 0
 
 
 @pytest.mark.parametrize("denom", [1, 2, 255, 256, 257, 2**32 + 15, 2**64 + 13])
