@@ -29,7 +29,7 @@ from .experiments import (
     table_to_json,
 )
 from .freegroup import CayleyGraph, word_from_str, word_to_str
-from .graphs import ExplicitGraph, load_graph
+from .graphs import load_graph
 from .measures import load_measure
 from .meanset import (
     mean_set_bounded,
@@ -98,10 +98,6 @@ def _load_instance(args):
     if args.graph is not None:
         g = load_graph(args.graph)
         mu = load_measure(args.measure, vertex_parser=int)
-        vertices = set(g.vertices())
-        missing = [v for v in mu.support() if v not in vertices]
-        if missing:
-            raise MeansetsError(f"measure atoms not in graph: {missing}")
     else:
         g = CayleyGraph(args.free_rank)
         rank = args.free_rank
@@ -136,8 +132,6 @@ def _cmd_meanset(args) -> int:
     if method == "auto":
         result = measure_mean_set(g, mu, args.weight_class)
     elif method == "exact":
-        if not isinstance(g, ExplicitGraph):
-            raise MeansetsError("--method exact needs a finite explicit graph")
         result = mean_set_exact(g, mu, args.weight_class)
     elif method == "descent":
         result = mean_set_tree(g, mu, args.weight_class)

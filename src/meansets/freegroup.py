@@ -24,59 +24,40 @@ from __future__ import annotations
 import functools
 import random
 import re
-from typing import Iterable
+from dataclasses import dataclass
 
 from .errors import RankMismatchError, VertexIdError
 from .graphs import ImplicitGraph
 
 
+@dataclass(frozen=True, slots=True)
 class ReducedWord:
-    """A freely reduced word; immutable."""
+    """A freely reduced word; immutable.  `letters` may be given as any
+    iterable and is stored as a tuple."""
 
-    __slots__ = ("letters", "rank")
+    rank: int
+    letters: tuple = ()
 
-    def __init__(self, rank: int, letters: Iterable[int] = ()):
-        if rank < 1:
+    def __post_init__(self):
+        if self.rank < 1:
             raise ValueError("rank must be >= 1")
-        letters = tuple(letters)
+        letters = tuple(self.letters)
         for x in letters:
-            if x == 0 or abs(x) > rank:
-                raise ValueError(f"letter {x} out of range for rank {rank}")
+            if x == 0 or abs(x) > self.rank:
+                raise ValueError(f"letter {x} out of range for rank {self.rank}")
         for a, b in zip(letters, letters[1:]):
             if a == -b:
                 raise ValueError("word is not freely reduced")
         object.__setattr__(self, "letters", letters)
-        object.__setattr__(self, "rank", rank)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ReducedWord is immutable")
 
     def __len__(self) -> int:
         return len(self.letters)
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, ReducedWord)
-            and self.rank == other.rank
-            and self.letters == other.letters
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank, self.letters))
 
     def __repr__(self) -> str:
         return f"ReducedWord(rank={self.rank}, {word_to_str(self)!r})"
 
     def inverse(self) -> "ReducedWord":
-        return _trusted_word(self.rank, tuple(-x for x in reversed(self.letters)))
-
-
-def _trusted_word(rank: int, letters: tuple) -> ReducedWord:
-    # constructor bypass for words that are reduced by construction
-    w = object.__new__(ReducedWord)
-    object.__setattr__(w, "letters", letters)
-    object.__setattr__(w, "rank", rank)
-    return w
+        return ReducedWord(self.rank, tuple(-x for x in reversed(self.letters)))
 
 
 def identity(rank: int) -> ReducedWord:
@@ -102,22 +83,13 @@ def multiply(a: ReducedWord, b: ReducedWord) -> ReducedWord:
             out.pop()
         else:
             out.append(x)
-    return _trusted_word(a.rank, tuple(out))
-
-
-def common_prefix_len(a: ReducedWord, b: ReducedWord) -> int:
-    la, lb = a.letters, b.letters
-    n = min(len(la), len(lb))
-    i = 0
-    while i < n and la[i] == lb[i]:
-        i += 1
-    return i
+    return ReducedWord(a.rank, out)
 
 
 def fg_distance(a: ReducedWord, b: ReducedWord) -> int:
     """Word-metric distance, i.e. the length of a^-1 b."""
     _check_ranks(a, b)
-    return len(a) + len(b) - 2 * common_prefix_len(a, b)
+    return len(a) + len(b) - 2 * _str_lcp(a.letters, b.letters)
 
 
 def sphere_size(rank: int, length: int) -> int:
@@ -177,9 +149,9 @@ def cayley_neighbors(w: ReducedWord) -> list[ReducedWord]:
     for i in range(1, w.rank + 1):
         for x in (i, -i):
             if last == -x:
-                out.append(_trusted_word(w.rank, w.letters[:-1]))
+                out.append(ReducedWord(w.rank, w.letters[:-1]))
             else:
-                out.append(_trusted_word(w.rank, w.letters + (x,)))
+                out.append(ReducedWord(w.rank, w.letters + (x,)))
     return out
 
 
@@ -286,25 +258,13 @@ class CayleyGraph(ImplicitGraph):
         super().__init__(None, is_tree=True)
 
     def neighbors(self, v: str) -> tuple:
-        """v times each generator and inverse, in cayley_neighbors order."""
-        self.path_key(v)
-        return self._id_neighbors(v)
-
-    def _id_neighbors(self, v: str) -> tuple:
-        """`neighbors` of an id already checked: the letter that cancels v's
-        last letter or token gives v's parent."""
-        if v == self.empty_id:
+        """v times each generator and inverse, in cayley_neighbors order: the
+        letter that cancels v's last letter or token gives v's parent."""
+        key = self.path_key(v)
+        if not key:
             return tuple(self._inverse)
-        if self._sep:
-            parent, _, last = v.rpartition(" ")
-        else:
-            parent, last = v[:-1], v[-1]
-        parent, inv_last, prefix = parent or self.empty_id, self._inverse[last], v + self._sep
+        parent, inv_last, prefix = self.key_id(key[:-1]), self._inverse[key[-1]], v + self._sep
         return tuple([parent if x == inv_last else prefix + x for x in self._inverse])
-
-    def _bfs_neighbors(self):
-        # a BFS checks its source, and every other id it meets came from here
-        return self._id_neighbors
 
     def distance(self, a: str, b: str) -> int:
         ka, kb = self.path_key(a), self.path_key(b)

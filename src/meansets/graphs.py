@@ -32,19 +32,13 @@ class Graph:
     def _require_vertex(self, v) -> None:
         """Reject a BFS source outside the vertex set (only explicit graphs can tell)."""
 
-    def _bfs_neighbors(self):
-        """The neighbour function a BFS applies to the vertices it reached
-        from its checked source; a graph whose `neighbors` checks its
-        argument returns one that skips the check."""
-        return self.neighbors
-
     def _layers(self, source):
         """Breadth-first search from `source`, yielding (depth, dist) after
         each completed layer: dist maps every vertex within `depth` of the
         source to its distance.  The first yield is (0, {source: 0}); the
         search ends when a layer adds no vertex."""
         self._require_vertex(source)
-        neighbors = self._bfs_neighbors()
+        neighbors = self.neighbors
         dist = {source: 0}
         frontier = [source]
         depth = 0
@@ -193,6 +187,9 @@ class ImplicitGraph(Graph):
         if self._distance_fn is not None:
             return self._distance_fn(u, v)
         return super().distance(u, v)
+
+    def vertices(self):
+        raise InfiniteGraphError("vertex scan needs a finite explicit graph")
 
     def is_cut_point(self, v):
         raise InfiniteGraphError("cut-point test needs a finite explicit graph")

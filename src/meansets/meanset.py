@@ -146,13 +146,15 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
 
     One BFS per atom gives a column of distances to every vertex, and each
     vertex is scored by lookups in the columns: O(|supp| * (V + E)) time and
-    O(|supp| * V) memory.
+    O(|supp| * V) memory.  A graph with no vertex list (any implicit
+    graph) raises InfiniteGraphError before any atom is read.
     """
     _check_class(c)
+    vertices = g.vertices()
     denom, nums = mu.numerators()
     _require_atoms(g, nums)
     f = _weight_fn(_atom_distance(g, nums), nums, c)
-    return _argmin(g.vertices(), f, denom, c, "exact")
+    return _argmin(vertices, f, denom, c, "exact")
 
 
 def _sorted_support_descent(keys: tuple, masses: tuple, c: int):

@@ -28,6 +28,7 @@ from .measures import AtomicMeasure, _atom_sampler
 from .meanset import _atom_distance, measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
+_LATTICE_SEARCH_BUDGET = 300_000  # combinations has_positive_lattice_vector tries
 
 
 @dataclass(frozen=True)
@@ -172,17 +173,15 @@ def dimension_invariance_check(g: Graph, mu: AtomicMeasure, meanset) -> bool:
     return len(dims) == 1
 
 
-def has_positive_lattice_vector(
-    vectors: list[tuple], coeff_bound: int = 5, budget: int = 300_000
-) -> bool | None:
+def has_positive_lattice_vector(vectors: list[tuple], coeff_bound: int = 5) -> bool | None:
     """Bounded search for a strictly positive vector in the generated lattice.
 
     Reduces the generators to a basis first, then enumerates integer
     combinations of basis rows with coefficients in [-coeff_bound,
-    coeff_bound], stopping after `budget` candidates.  Returns True on a
-    witness, False when no lattice vector can be positive (the lattice is
-    trivial or some coordinate vanishes on all of it), None when the bounded
-    search is inconclusive.
+    coeff_bound], stopping after _LATTICE_SEARCH_BUDGET (300,000)
+    candidates.  Returns True on a witness, False when no lattice vector
+    can be positive (the lattice is trivial or some coordinate vanishes on
+    all of it), None when the bounded search is inconclusive.
     """
     if not vectors:
         return None
@@ -203,7 +202,7 @@ def has_positive_lattice_vector(
     tried = 0
     for coeffs in product(coeff_range, repeat=len(basis)):
         tried += 1
-        if tried > budget:
+        if tried > _LATTICE_SEARCH_BUDGET:
             return None
         point = [0] * dim
         for k, row in zip(coeffs, basis):
@@ -275,6 +274,8 @@ def simulate_walk(
     if any(iv.probability < 0 for iv in incs):
         raise ValueError("increment probabilities must be nonnegative")
     dim = len(incs[0].coords)
+    if any(len(iv.coords) != dim for iv in incs):
+        raise ValueError("increment vectors must all have the same length")
     law = AtomicMeasure({i: iv.probability for i, iv in enumerate(incs)})
     incs = [incs[i] for i in law.support()]  # increments of probability 0 are never drawn
     draw = _atom_sampler(law, rng)

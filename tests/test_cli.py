@@ -132,12 +132,25 @@ class TestMeansetCommand:
         assert code == 2
         assert "explicit" in err
 
-    def test_atom_outside_graph(self, capsys, tmp_path, path_instance):
+    @pytest.mark.parametrize("command", [
+        ["meanset"],
+        ["meanset", "--method", "exact"],
+        ["meanset", "--method", "descent"],
+        ["meanset", "--method", "bounded"],
+        ["walk"],
+        ["decay", "--samples", "4"],
+    ], ids=["meanset-auto", "meanset-exact", "meanset-descent", "meanset-bounded",
+            "walk", "decay"])
+    def test_atom_outside_graph(self, capsys, tmp_path, path_instance, command):
+        # the solver each command starts with rejects the atom
         graph, _ = path_instance
         bad = tmp_path / "bad.txt"
-        bad.write_text("99 1\n")
-        code, _, err = run_cli(capsys, "meanset", "--graph", graph, "--measure", str(bad))
-        assert code == 2
+        bad.write_text("0 1\n99 1\n")
+        code, out, err = run_cli(
+            capsys, command[0], "--graph", graph, "--measure", str(bad), *command[1:]
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error:") and err.count("\n") == 1
         assert "99" in err
 
     def test_descent_refuses_graph_with_cycles(self, capsys, tmp_path):

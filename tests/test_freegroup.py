@@ -51,9 +51,12 @@ class TestMultiply:
 
     def test_inverse_gives_identity(self):
         rng = random.Random(3)
-        for _ in range(50):
-            w = random_word(rng, 3, 6)
-            assert multiply(w, w.inverse()) == identity(3)
+        words = [random_word(rng, 3, 6) for _ in range(50)]
+        words += [ReducedWord(r, ls) for r, ls in ((1, ()), (1, (-1, -1)), (27, (27, -3)))]
+        for w in words:
+            assert multiply(w, w.inverse()) == identity(w.rank)
+            assert multiply(w.inverse(), w) == identity(w.rank)
+            assert w.inverse().inverse() == w
 
     def test_associativity_on_random_triples(self):
         rng = random.Random(9)
@@ -70,6 +73,27 @@ class TestMultiply:
             ReducedWord(2, (1, -1))
         with pytest.raises(ValueError):
             ReducedWord(2, (3,))
+
+
+class TestReducedWord:
+    def test_fields_are_read_only(self):
+        w = ReducedWord(2, (1, 2))
+        for name, value in (("letters", (1,)), ("rank", 3)):
+            with pytest.raises(AttributeError):
+                setattr(w, name, value)
+        assert (w.rank, w.letters) == (2, (1, 2))
+
+    def test_letters_from_any_iterable_give_one_word(self):
+        from_list, from_tuple = ReducedWord(3, [1, -2, 3]), ReducedWord(3, (1, -2, 3))
+        assert from_list == from_tuple
+        assert hash(from_list) == hash(from_tuple)
+        assert from_list.letters == (1, -2, 3)
+        assert {from_list: "x"}[from_tuple] == "x"
+        assert len({from_list, from_tuple}) == 1
+
+    def test_rank_is_part_of_the_word(self):
+        assert ReducedWord(2, (1, 2)) != ReducedWord(3, (1, 2))
+        assert ReducedWord(2) != ReducedWord(3)
 
 
 class TestDistance:
@@ -294,8 +318,8 @@ class TestCayleyGraph:
 
     @pytest.mark.parametrize("rank, radius", [(2, 5), (4, 3), (27, 2)])
     def test_ball_matches_enumeration(self, rank, radius):
-        # a BFS checks only its source, so the ids it reaches must come out
-        # canonical from the neighbour step itself
+        # each id the BFS reaches is checked when it is expanded, so every
+        # id the neighbour step makes must be canonical
         g = CayleyGraph(rank)
         words = ball_words(rank, radius)
         assert g.ball(g.empty_id, radius) == {word_to_str(w) for w in words}

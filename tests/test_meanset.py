@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from meansets.errors import (
+    InfiniteGraphError,
     NotATreeError,
     UnreachableAtomError,
     VertexIdError,
@@ -180,6 +181,13 @@ class TestMeanSetExact:
             mean_set_exact(g, mu, 2)
             mean_set_bounded(g, mu, 2)
         assert vars(g) == before
+
+    @pytest.mark.parametrize("g, atom", [(CayleyGraph(2), "e"), (integer_grid(), (0, 0))],
+                             ids=["free-group", "grid"])
+    def test_implicit_graph_refused(self, g, atom):
+        # an implicit graph has no vertex list to scan
+        with pytest.raises(InfiniteGraphError):
+            mean_set_exact(g, AtomicMeasure.point_mass(atom), 2)
 
     def test_atom_outside_graph(self):
         with pytest.raises(UnreachableAtomError):

@@ -405,6 +405,15 @@ def test_walk_rejects_negative_probability():
         simulate_walk(incs, 10, random.Random(0))
 
 
+@pytest.mark.parametrize("coords", [[(1,), (-1, 5)], [(1, 2), (-1,)], [(), (1,)]])
+def test_walk_rejects_vectors_of_different_lengths(coords):
+    # a longer vector lost its extra coordinates, a shorter one read as
+    # padded with zeros
+    incs = [iv(c, 1, 2) for c in coords]
+    with pytest.raises(ValueError, match="same length"):
+        simulate_walk(incs, 10, random.Random(0))
+
+
 @pytest.mark.parametrize("n", [1, 2, 6, 8, 1000, 255, 256, 2**40 + 1])
 def test_block_draw_reproduces_randrange(n):
     # with one increment per value, increment r + 1 is drawn by randrange value r;
