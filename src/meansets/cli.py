@@ -64,10 +64,6 @@ def _positive_int(text: str) -> int:
     return _int_at_least(text, 1)
 
 
-def _nonnegative_int(text: str) -> int:
-    return _int_at_least(text, 0)
-
-
 def _increasing(text: str, minimum: int, what: str) -> tuple[int, ...]:
     """Comma-separated integers, each at least `minimum`, strictly increasing."""
     try:
@@ -159,7 +155,7 @@ def _cmd_walk(args) -> int:
     base = min(meanset)
     others = [v for v in sorted(meanset) if v != base]
     incs = increments(g, mu, base, others, validate=False)
-    hypotheses = positivity_hypotheses(g, mu, meanset, base, coeff_bound=args.coeff_bound)
+    hypotheses = positivity_hypotheses(incs, mu, base)
     rng = random.Random(derive_seed(args.seed, "walk"))
     # the payload reports no trace, so keep only the start and the end
     walk = simulate_walk(incs, args.steps, rng, trace_every=args.steps)
@@ -232,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_args(p)
     p.add_argument("--steps", type=_positive_int, default=100_000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--coeff-bound", type=_nonnegative_int, default=5)
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("table-f4", help="sphere-sampling convergence table")

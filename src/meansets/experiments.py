@@ -131,15 +131,11 @@ def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[CellRe
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(_run_table_cell_args, params))
+            cells = list(pool.map(run_table_cell, *zip(*params)))
     else:
         cells = [run_table_cell(*args) for args in params]
     cells.sort(key=lambda c: (c.length, c.n))
     return cells
-
-
-def _run_table_cell_args(args) -> CellResult:
-    return run_table_cell(*args)
 
 
 def table_to_csv(cells: list[CellResult]) -> str:

@@ -22,6 +22,30 @@ from .errors import MeasureFormatError, RankMismatchError
 _CHUNK = 1 << 16  # draws per sampler call in `draw`, which bounds its memory
 
 
+def _lowest_terms(masses: Mapping) -> tuple[int, dict]:
+    """The weights m / total of masses as the least common denominator D and
+    the integer numerators over D, in vertex order, zero masses dropped;
+    ValueError if the total is not positive or a mass is negative.
+
+    Integer masses are used as they are, with no Fraction arithmetic: D is
+    total // gcd(masses) and each numerator mass // gcd(masses).  Any other
+    masses are read by Fraction() and first scaled to integers by the lcm of
+    their denominators, which leaves every weight as it was.
+    """
+    if not all(isinstance(m, int) for m in masses.values()):
+        masses = {v: Fraction(m) for v, m in masses.items()}
+        scale = lcm(*(m.denominator for m in masses.values()))
+        masses = {v: m.numerator * (scale // m.denominator) for v, m in masses.items()}
+    total = sum(masses.values())
+    if total <= 0:
+        raise ValueError("total mass must be positive")
+    for v, m in masses.items():
+        if m < 0:
+            raise ValueError(f"negative weight {Fraction(m, total)} at {v!r}")
+    g = gcd(*masses.values())
+    return total // g, {v: m // g for v, m in sorted(masses.items()) if m}
+
+
 class AtomicMeasure:
     """Finitely supported probability measure with exact rational weights.
 
@@ -47,32 +71,14 @@ class AtomicMeasure:
             raise ValueError("measure must have nonempty support")
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
-        denom = lcm(*(w.denominator for w in cleaned.values()))
-        self._denom = denom
-        self._nums = {v: int(w * denom) for v, w in sorted(cleaned.items())}
+        self._denom, self._nums = _lowest_terms(cleaned)
 
     @classmethod
     def from_masses(cls, masses: Mapping) -> "AtomicMeasure":
-        """Normalize arbitrary positive masses by their total.
-
-        Integer masses skip Fraction arithmetic: the denominator is
-        total // gcd(masses) and each numerator mass // gcd(masses).
-        """
-        if not all(isinstance(m, int) for m in masses.values()):
-            total = sum(Fraction(m) for m in masses.values())
-            if total <= 0:
-                raise ValueError("total mass must be positive")
-            return cls({v: Fraction(m) / total for v, m in masses.items()})
-        total = sum(masses.values())
-        if total <= 0:
-            raise ValueError("total mass must be positive")
-        for v, m in masses.items():
-            if m < 0:
-                raise ValueError(f"negative weight {Fraction(m, total)} at {v!r}")
-        g = gcd(*masses.values())
+        """Normalize arbitrary positive masses (anything Fraction() reads)
+        by their total."""
         mu = object.__new__(cls)
-        mu._denom = total // g
-        mu._nums = {v: m // g for v, m in sorted(masses.items()) if m}
+        mu._denom, mu._nums = _lowest_terms(masses)
         return mu
 
     @classmethod

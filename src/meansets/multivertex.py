@@ -29,6 +29,7 @@ from .meanset import _atom_distance, measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
 _LATTICE_SEARCH_BUDGET = 300_000  # combinations has_positive_lattice_vector tries
+_COEFF_BOUND = 5  # has_positive_lattice_vector's coefficients lie in [-5, 5]
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class IncrementVector:
 
     coords: tuple
     probability: Fraction
-    atoms: tuple  # support atoms that produce this step
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def increments(
     """Increment distribution of the walk associated with the base vertex.
 
     base plus others must be exactly the mean-set of mu; equal vectors are
-    aggregated, so the probabilities sum to one.
+    aggregated, so the probabilities sum to one, and sorted by coords.
     """
     others = list(others)
     if validate:
@@ -88,26 +88,27 @@ def increments(
             raise NotMeanSetError(
                 f"claimed mean-set {sorted(claimed)!r} but solver found {sorted(solved)!r}"
             )
-    support = mu.support()
-    dist = _atom_distance(g, support)
-    grouped: dict[tuple, list] = {}
-    for s in support:
+    denom, nums = mu.numerators()
+    dist = _atom_distance(g, nums)
+    grouped: dict[tuple, int] = {}
+    for s, m in nums.items():
         d_base = dist(s, base) ** 2
         coords = tuple(dist(s, v) ** 2 - d_base for v in others)
-        grouped.setdefault(coords, []).append(s)
-    out = []
-    for coords, atoms in grouped.items():
-        prob = sum((mu[s] for s in atoms), Fraction(0))
-        out.append(IncrementVector(coords=coords, probability=prob, atoms=tuple(atoms)))
-    out.sort(key=lambda iv: iv.coords)
-    return out
+        grouped[coords] = grouped.get(coords, 0) + m
+    return [IncrementVector(coords, Fraction(m, denom)) for coords, m in sorted(grouped.items())]
+
+
+def _dimension(vectors) -> int:
+    """The length every vector shares, 0 for no vectors."""
+    dims = set(map(len, vectors))
+    if len(dims) > 1:
+        raise ValueError("increment vectors must all have the same length")
+    return dims.pop() if dims else 0
 
 
 def first_moment(incs: list[IncrementVector]) -> tuple:
     """Exact mean increment; the zero vector for any genuine mean-set walk."""
-    if not incs:
-        return ()
-    dim = len(incs[0].coords)
+    dim = _dimension([iv.coords for iv in incs])
     return tuple(
         sum((iv.probability * iv.coords[i] for iv in incs), Fraction(0))
         for i in range(dim)
@@ -124,7 +125,9 @@ def second_moment(incs: list[IncrementVector]) -> Fraction:
 
 def genuine_dimension(incs: list[IncrementVector]) -> int:
     """Rank of the integer lattice generated by the increment vectors."""
-    return len(_lattice_basis([list(iv.coords) for iv in incs]))
+    rows = [list(iv.coords) for iv in incs]
+    _dimension(rows)  # the basis reads the number of columns off one row
+    return len(_lattice_basis(rows))
 
 
 def _lattice_basis(rows: list[list[int]]) -> list[list[int]]:
@@ -173,19 +176,20 @@ def dimension_invariance_check(g: Graph, mu: AtomicMeasure, meanset) -> bool:
     return len(dims) == 1
 
 
-def has_positive_lattice_vector(vectors: list[tuple], coeff_bound: int = 5) -> bool | None:
+def has_positive_lattice_vector(vectors: list[tuple]) -> bool | None:
     """Bounded search for a strictly positive vector in the generated lattice.
 
     Reduces the generators to a basis first, then enumerates integer
-    combinations of basis rows with coefficients in [-coeff_bound,
-    coeff_bound], stopping after _LATTICE_SEARCH_BUDGET (300,000)
-    candidates.  Returns True on a witness, False when no lattice vector
-    can be positive (the lattice is trivial or some coordinate vanishes on
-    all of it), None when the bounded search is inconclusive.
+    combinations of basis rows with coefficients in [-_COEFF_BOUND,
+    _COEFF_BOUND] ([-5, 5]), stopping after _LATTICE_SEARCH_BUDGET
+    (300,000) candidates.  Returns True on a witness, False when no
+    lattice vector can be positive (the lattice is trivial or some
+    coordinate vanishes on all of it), None when the bounded search is
+    inconclusive.
     """
     if not vectors:
         return None
-    dim = len(vectors[0])
+    dim = _dimension(vectors)
     if dim == 0:
         # zero-dimensional walk: the positivity condition is vacuous
         return True
@@ -198,7 +202,7 @@ def has_positive_lattice_vector(vectors: list[tuple], coeff_bound: int = 5) -> b
     for j in range(dim):
         if all(row[j] == 0 for row in basis):
             return False
-    coeff_range = range(-coeff_bound, coeff_bound + 1)
+    coeff_range = range(-_COEFF_BOUND, _COEFF_BOUND + 1)
     tried = 0
     for coeffs in product(coeff_range, repeat=len(basis)):
         tried += 1
@@ -215,23 +219,17 @@ def has_positive_lattice_vector(vectors: list[tuple], coeff_bound: int = 5) -> b
 
 
 def positivity_hypotheses(
-    g: Graph,
-    mu: AtomicMeasure,
-    meanset,
-    base,
-    coeff_bound: int = 5,
+    incs: list[IncrementVector], mu: AtomicMeasure, base
 ) -> PositivityReport:
-    """Check the sufficient conditions for orthant recurrence of the walk.
+    """Check the sufficient conditions for orthant recurrence of the walk
+    whose increment law `increments` gave as incs for this base.
 
     When mu(base) > 0 the increment of the base atom itself is the witness
     vector (all squared distances to the other mean-set vertices), so the
     search is immediate.
     """
-    others = [v for v in sorted(meanset) if v != base]
-    incs = increments(g, mu, base, others, validate=False)
-    vectors = [iv.coords for iv in incs]
     return PositivityReport(
-        has_positive_vector=has_positive_lattice_vector(vectors, coeff_bound),
+        has_positive_vector=has_positive_lattice_vector([iv.coords for iv in incs]),
         mu_base_positive=mu[base] > 0,
     )
 
@@ -273,9 +271,7 @@ def simulate_walk(
         raise ValueError("need at least one increment vector")
     if any(iv.probability < 0 for iv in incs):
         raise ValueError("increment probabilities must be nonnegative")
-    dim = len(incs[0].coords)
-    if any(len(iv.coords) != dim for iv in incs):
-        raise ValueError("increment vectors must all have the same length")
+    dim = _dimension([iv.coords for iv in incs])
     law = AtomicMeasure({i: iv.probability for i, iv in enumerate(incs)})
     incs = [incs[i] for i in law.support()]  # increments of probability 0 are never drawn
     draw = _atom_sampler(law, rng)

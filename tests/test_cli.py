@@ -213,7 +213,7 @@ class TestWalkCommand:
         assert 0 <= payload["orthant_visits"] <= 2000
         # the walk's statistics do not depend on how its trace is thinned
         incs = [
-            IncrementVector(coords=(x,), probability=Fraction(1, 2), atoms=())
+            IncrementVector(coords=(x,), probability=Fraction(1, 2))
             for x in (-3, 3)
         ]
         rng = random.Random(derive_seed(5, "walk"))
@@ -236,6 +236,29 @@ class TestWalkCommand:
         assert payload["mean_set"] == [1]
         assert payload["dimension"] == 0
         assert payload["orthant_visits"] == 100
+
+    def test_report_builds_the_increment_law_once(self, capsys, monkeypatch, tmp_path):
+        # mass on the path ends only, so the lattice search runs too
+        from meansets import cli, multivertex
+
+        graph = tmp_path / "path.txt"
+        graph.write_text("0 1\n1 2\n2 3\n")
+        measure = tmp_path / "mu.txt"
+        measure.write_text("0 1\n3 1\n")
+        calls = []
+        build = multivertex.increments
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return build(*args, **kwargs)
+
+        for module in (cli, multivertex):
+            monkeypatch.setattr(module, "increments", counted)
+        code, out, _ = run_cli(
+            capsys, "walk", "--graph", str(graph), "--measure", str(measure), "--steps", "10"
+        )
+        assert code == 0 and json.loads(out)["hypotheses"]["has_positive_vector"] is True
+        assert len(calls) == 1
 
 
 class TestTableCommand:
@@ -344,12 +367,9 @@ class TestCheckCommand:
         (["table-f4", "--lengths", "5,5"], "--lengths"),
         (["table-f4", "--lengths", "20,5"], "--lengths"),
         (["check", "--cases", "0"], "--cases"),
-        (["walk", "--graph", "{graph}", "--measure", "{measure}", "--coeff-bound", "-3"],
-         "--coeff-bound"),
     ],
     ids=["free-rank-0", "trials-0", "steps-0", "samples-decreasing", "decay-samples-0",
-         "lengths-negative", "lengths-repeated", "lengths-decreasing", "cases-0",
-         "coeff-bound-negative"],
+         "lengths-negative", "lengths-repeated", "lengths-decreasing", "cases-0"],
 )
 def test_bad_numeric_argument_exits_2(capsys, path_instance, argv, flag):
     graph, measure = path_instance

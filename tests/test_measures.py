@@ -72,6 +72,73 @@ class TestAtomicMeasure:
         assert AtomicMeasure.from_masses({0: 0, 1: 4}) == AtomicMeasure.point_mass(1)
 
 
+# (masses, expected (D, numerators) or ValueError message); messages and the
+# order of the checks are part of the contract: from_masses({0: -1, 1: 1})
+# fails on its total before it looks at the negative mass
+INIT_TABLE = [
+    ({}, "measure must have nonempty support"),
+    ({0: 0}, "measure must have nonempty support"),
+    ({0: -1, 1: 2}, "negative weight -1 at 0"),
+    ({0: Fraction(1, 3)}, "weights sum to 1/3, not 1"),
+    ({0: "1/2", 1: 0.5}, (2, {0: 1, 1: 1})),
+    ({0: Fraction(1, 2), 1: 0, 2: Fraction(1, 2)}, (2, {0: 1, 2: 1})),
+]
+FROM_MASSES_TABLE = [
+    ({}, "total mass must be positive"),
+    ({0: 0}, "total mass must be positive"),
+    ({0: -1, 1: 3}, "negative weight -1/2 at 0"),
+    ({0: Fraction(-1, 2), 1: 1}, "negative weight -1 at 0"),
+    ({0: 0.5, 1: 1}, (3, {0: 1, 1: 2})),
+    ({0: "1/2", 1: 1}, (3, {0: 1, 1: 2})),
+    ({0: Fraction(1, 2), 1: Fraction(1, 3)}, (5, {0: 3, 1: 2})),
+    ({0: -1, 1: 1}, "total mass must be positive"),
+]
+
+
+@pytest.mark.parametrize(
+    "build, atoms, expected",
+    [(AtomicMeasure, *case) for case in INIT_TABLE]
+    + [(AtomicMeasure.from_masses, *case) for case in FROM_MASSES_TABLE],
+    ids=[f"init-{i}" for i in range(len(INIT_TABLE))]
+    + [f"from_masses-{i}" for i in range(len(FROM_MASSES_TABLE))],
+)
+def test_constructor_behaviour_table(build, atoms, expected):
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            build(atoms)
+        assert str(exc.value) == expected
+    else:
+        assert build(atoms).numerators() == expected
+
+
+def lowest_terms_oracle(masses):
+    """Independent oracle: weights m / total in Fraction arithmetic, over the
+    lcm of their reduced denominators."""
+    total = sum((Fraction(m) for m in masses.values()), Fraction(0))
+    weights = {v: Fraction(m) / total for v, m in sorted(masses.items()) if m}
+    denom = lcm(*(w.denominator for w in weights.values()))
+    return denom, {v: w.numerator * (denom // w.denominator) for v, w in weights.items()}
+
+
+def test_normaliser_matches_fraction_oracle():
+    rng = random.Random(1717)
+    kinds = {
+        "int": lambda: rng.randint(0, 30) * rng.choice((1, 6, 35)),
+        "fraction": lambda: Fraction(rng.randint(0, 30), rng.randint(1, 12)),
+    }
+    kinds["mixed"] = lambda: rng.choice((kinds["int"], kinds["fraction"]))()
+    for kind, mass in kinds.items():
+        for _ in range(200):
+            masses = {v: mass() for v in rng.sample(range(-20, 20), rng.randint(1, 7))}
+            if not any(masses.values()):
+                continue
+            expected = lowest_terms_oracle(masses)
+            assert AtomicMeasure.from_masses(masses).numerators() == expected, kind
+            denom, nums = expected
+            weights = {v: Fraction(m, denom) for v, m in nums.items()}
+            assert AtomicMeasure(weights).numerators() == expected, kind
+
+
 class TestDraw:
     def test_point_mass(self):
         mu = AtomicMeasure.point_mass("v")

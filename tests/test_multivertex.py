@@ -88,7 +88,7 @@ def random_increments(rng, dim, max_weight):
 
 
 def iv(coords, p, q=1):
-    return IncrementVector(coords=tuple(coords), probability=Fraction(p, q), atoms=())
+    return IncrementVector(coords=tuple(coords), probability=Fraction(p, q))
 
 
 TWO_POINT_LINE = (integer_line(), AtomicMeasure.uniform([0, 1]), 0, [1])
@@ -187,7 +187,7 @@ class TestGenuineDimension:
 class TestPositivity:
     def test_two_point_line_both_flags(self):
         g, mu, base, others = TWO_POINT_LINE
-        report = positivity_hypotheses(g, mu, frozenset([0, 1]), base)
+        report = positivity_hypotheses(increments(g, mu, base, others), mu, base)
         assert report.mu_base_positive is True
         assert report.has_positive_vector is True
 
@@ -196,7 +196,7 @@ class TestPositivity:
         g = path_graph(4)
         mu = AtomicMeasure.uniform([0, 3])
         assert mean_set_exact(g, mu, 2).vertices == frozenset([1, 2])
-        report = positivity_hypotheses(g, mu, frozenset([1, 2]), 1)
+        report = positivity_hypotheses(increments(g, mu, 1, [2]), mu, 1)
         assert report.mu_base_positive is False
         # the increment of atom 0 is d(2,0)^2 - d(1,0)^2 = 3 > 0, a witness
         assert report.has_positive_vector is True
@@ -207,7 +207,8 @@ class TestPositivity:
             g, mu, meanset = random_multivertex_instance(rng)
             base = min(meanset)
             if mu[base] > 0:
-                report = positivity_hypotheses(g, mu, meanset, base)
+                others = [v for v in sorted(meanset) if v != base]
+                report = positivity_hypotheses(increments(g, mu, base, others), mu, base)
                 assert report.has_positive_vector is True
 
     def test_hyperplane_lattice_is_definitively_negative(self):
@@ -412,6 +413,24 @@ def test_walk_rejects_vectors_of_different_lengths(coords):
     incs = [iv(c, 1, 2) for c in coords]
     with pytest.raises(ValueError, match="same length"):
         simulate_walk(incs, 10, random.Random(0))
+
+
+@pytest.mark.parametrize("coords", [[(1,), (-1, 5)], [(-1, 5), (1,)]])
+@pytest.mark.parametrize(
+    "statistic",
+    [
+        first_moment,
+        genuine_dimension,
+        lambda incs: has_positive_lattice_vector([x.coords for x in incs]),
+    ],
+    ids=["first_moment", "genuine_dimension", "has_positive_lattice_vector"],
+)
+def test_statistics_reject_vectors_of_different_lengths(statistic, coords):
+    # a dimension read off one vector would drop the 5 or index past the
+    # shorter vector
+    incs = [iv(c, 1, 2) for c in coords]
+    with pytest.raises(ValueError, match="same length"):
+        statistic(incs)
 
 
 @pytest.mark.parametrize("n", [1, 2, 6, 8, 1000, 255, 256, 2**40 + 1])
