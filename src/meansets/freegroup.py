@@ -295,3 +295,17 @@ class CayleyGraph(ImplicitGraph):
     def key_id(self, key) -> str:
         """The vertex id whose `path_key` is key."""
         return (" ".join(key) if self._sep else key) or self.empty_id
+
+    def prefix_hull_size(self, vertices) -> int:
+        """Number of vertices on the geodesics from the identity to the
+        given vertices, the identity included: the vertices a brute-force
+        scan of every prefix of every atom would score.  One vertex gives 0,
+        not 1: the `meanset` payload has always reported 0 for a point mass,
+        whose solve scores nothing.  An id that is not a vertex raises
+        VertexIdError."""
+        keys = sorted({self.path_key(v) for v in vertices})
+        if len(keys) <= 1:
+            return 0
+        # sorted keys list each subtree as one run, so each key adds the
+        # elements past its common prefix with the key before it
+        return 1 + len(keys[0]) + sum(len(b) - _str_lcp(a, b) for a, b in zip(keys, keys[1:]))

@@ -31,14 +31,20 @@ from itertools import accumulate
 from operator import itemgetter, mul
 
 from .errors import NotATreeError, UnreachableAtomError, UnreachableVertexError
-from .freegroup import CayleyGraph, _str_lcp
+from .freegroup import CayleyGraph
 from .graphs import ExplicitGraph, Graph
 from .measures import AtomicMeasure, Sample, empirical
 
 
 @dataclass(frozen=True)
 class MeanSetResult:
-    """Argmin vertices plus the exact minimal weight."""
+    """Argmin vertices plus the exact minimal weight.
+
+    `steps` counts the solver's work: the vertices scanned by the exact
+    scan (all of them), the bounded scan (the certified ball, 0 for a point
+    mass) and the line scan (the support's hull), and the moves from the
+    root to the mean-set for the tree descent.
+    """
 
     vertices: frozenset
     min_weight: Fraction
@@ -266,15 +272,17 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     On a free-group Cayley graph the root is the identity and the keys come
     from `path_key`, so a solve takes O(n log n + depth * (r + log n))
     comparisons and bisects for n atoms at rank r, the depth being that of
-    the mean-set.  `steps` is the size of the atoms' prefix hull, 0 for a
-    point mass.  An atom that is not the id word_to_str gives a reduced
+    the mean-set.  An atom that is not the id word_to_str gives a reduced
     word of the graph's rank raises VertexIdError.
 
     On any other tree the root is the heaviest atom and the keys come from
     one BFS (`_bfs_path_keys`): a `neighbors` call per vertex nearer the
-    root than the farthest atom, and O(depth) per atom key.  `steps` is the
-    number of descent moves, the distance from the root to the mean-set.
-    An atom that is not a vertex raises UnreachableAtomError.
+    root than the farthest atom, and O(depth) per atom key.  An atom that
+    is not a vertex raises UnreachableAtomError.
+
+    On every tree `steps` is the number of descent moves, the distance from
+    the root to the mean-set.  The `meanset` payload reports the atoms'
+    prefix hull on a free group instead (`CayleyGraph.prefix_hull_size`).
 
     Any graph whose `is_tree` is false raises NotATreeError: with cycles a
     local minimum need not be global.
@@ -287,21 +295,17 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         keys, masses = zip(*sorted((g.path_key(s), m) for s, m in nums.items()))
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (g.key_id(keys[i][:depth]) for depth, i in region)
-        steps = 1 + len(keys[0]) + sum(len(b) - _str_lcp(a, b) for a, b in zip(keys, keys[1:]))
-        if len(keys) == 1:
-            steps = 0
     else:
         _require_atoms(g, nums)
         keys, masses, order = _bfs_path_keys(g, nums)
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (order[keys[i][depth - 1] if depth else 0] for depth, i in region)
-        steps = region[0][0]
     return MeanSetResult(
         vertices=frozenset(vertices),
         min_weight=Fraction(best, denom),
         class_c=c,
         method="descent",
-        steps=steps,
+        steps=region[0][0],
     )
 
 

@@ -184,6 +184,42 @@ class TestMeansetCommand:
         assert code == 0
         assert json.loads(out) == payload
 
+    @pytest.mark.parametrize("instance, measure, options, payload", [
+        ("0 1\n1 2\n2 3\n3 4\n", "0 1\n4 1\n", [],
+         {"class": 2, "method": "exact", "min_weight": "4/1", "steps": 5, "vertices": [2]}),
+        ("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n", "0 3\n1 1\n", ["--method", "bounded"],
+         {"class": 2, "method": "bounded", "min_weight": "1/4", "steps": 4, "vertices": [0]}),
+        ("0 1\n1 2\n2 3\n3 4\n1 5\n5 6\n4 7\n", "7 3\n6 1\n0 2\n", ["--method", "descent"],
+         {"class": 2, "method": "descent", "min_weight": "22/3", "steps": 3, "vertices": [2]}),
+        (4, "ab 2\naB 1\nA 1\nabab 2\n", [],
+         {"class": 2, "method": "descent", "min_weight": "7/2", "steps": 7, "vertices": ["ab"]}),
+        (4, "ab 2\naB 1\nA 1\nabab 2\n", ["--method", "descent", "--class", "1"],
+         {"class": 1, "method": "descent", "min_weight": "3/2", "steps": 7, "vertices": ["ab"]}),
+        (27, "g1 g2 1\ng1 G3 3\nG27 g5 2\n", [],
+         {"class": 2, "method": "descent", "min_weight": "11/3", "steps": 6, "vertices": ["g1"]}),
+        (4, "abab 1\n", [],
+         {"class": 2, "method": "descent", "min_weight": "0/1", "steps": 0, "vertices": ["abab"]}),
+        (27, "g3 G2 g3 5\n", [],
+         {"class": 2, "method": "descent", "min_weight": "0/1", "steps": 0,
+          "vertices": ["g3 G2 g3"]}),
+    ], ids=["exact-path5", "bounded-path10", "descent-tree", "free-rank-4", "free-rank-4-class-1",
+            "free-rank-27", "free-rank-4-point-mass", "free-rank-27-point-mass"])
+    def test_payload_contract(self, capsys, tmp_path, instance, measure, options, payload):
+        # steps is V for the exact scan, the ball size for the bounded scan,
+        # the descent's moves on an explicit tree, and on a free group the
+        # size of the atoms' prefix hull (0 for a point mass)
+        mu = tmp_path / "mu.txt"
+        mu.write_text(measure)
+        if isinstance(instance, int):
+            source = ["--free-rank", str(instance)]
+        else:
+            graph = tmp_path / "graph.txt"
+            graph.write_text(instance)
+            source = ["--graph", str(graph)]
+        code, out, _ = run_cli(capsys, "meanset", *source, "--measure", str(mu), *options)
+        assert code == 0
+        assert json.loads(out) == payload
+
     def test_usage_error_exits_2(self, path_instance):
         with pytest.raises(SystemExit) as exc:
             main(["meanset", "--measure", "nowhere"])

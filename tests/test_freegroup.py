@@ -369,6 +369,8 @@ class TestCayleyGraph:
             g.distance(vid, g.empty_id)
         with pytest.raises(VertexIdError):
             g.ball(vid, 1)
+        with pytest.raises(VertexIdError):
+            g.prefix_hull_size([g.empty_id, vid])
 
     @pytest.mark.parametrize(
         "rank, vid",

@@ -446,7 +446,9 @@ class TestMeanSetTree:
         res = mean_set_tree(g, AtomicMeasure.point_mass("abab"), 2)
         assert res.vertices == frozenset(["abab"])
         assert res.min_weight == 0
-        assert res.steps == 0
+        # four moves from the identity; the payload's hull of one atom is 0
+        assert res.steps == 4
+        assert g.prefix_hull_size(["abab"]) == 0
 
     def test_agrees_with_bounded_solver_on_free_group(self):
         # two independent solvers, one instance: descent+flood vs the
@@ -539,7 +541,8 @@ class TestFreeGroupPrefixTrie:
         assert (res.vertices, res.min_weight) == (vertices, best)
         assert (res.vertices, res.min_weight) == reference_descent(g, mu, c)
         assert res.method == "descent"
-        assert res.steps == (0 if len(mu) == 1 else hull_size)
+        assert res.steps == min(g.distance(g.empty_id, v) for v in res.vertices)
+        assert g.prefix_hull_size(mu.support()) == (0 if len(mu) == 1 else hull_size)
 
     @pytest.mark.parametrize("rank", RANKS)
     def test_random_measures(self, rank):
