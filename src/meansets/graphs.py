@@ -9,7 +9,7 @@ exact distance oracle that bypasses BFS entirely.
 
 from __future__ import annotations
 
-from collections import deque
+from itertools import chain
 from typing import Callable, Hashable, Iterable
 
 from .errors import GraphFormatError, InfiniteGraphError, UnreachableVertexError
@@ -80,42 +80,81 @@ class Graph:
 class ExplicitGraph(Graph):
     """Finite graph given by its full adjacency.
 
+    The graph is held as one index adjacency: `_vertices` lists the ids in
+    sorted order, `_index` maps an id to its position there, and `_nbrs[i]`
+    is the sorted list of the neighbours' positions of the vertex at
+    position i.  Whole-graph work (the exact scan, connectivity, cut-points,
+    component splits, `distances_from`) runs on these lists through one
+    BFS kernel, `_column`, and never calls `neighbors`, which maps positions
+    back to ids for callers that walk the graph by id.
+
     The constructor rejects self-loops and parallel edges (they never change
     distances) and requires connectivity.
     """
 
     def __init__(self, edges: Iterable[tuple]):
-        adj: dict = {}
-        seen = set()
-        for u, v in edges:
-            if u == v:
-                raise GraphFormatError(f"self-loop at {u!r}")
-            key = (u, v) if not v < u else (v, u)
-            if key in seen:
-                raise GraphFormatError(f"parallel edge {u!r} {v!r}")
-            seen.add(key)
-            adj.setdefault(u, []).append(v)
-            adj.setdefault(v, []).append(u)
-        if not adj:
+        pairs = list(edges)
+        if not pairs:
             raise GraphFormatError("graph has no edges and no vertices")
-        self._adj = {v: tuple(sorted(ns)) for v, ns in sorted(adj.items())}
-        self._vertices = tuple(sorted(self._adj))
-        self._n_edges = len(seen)
-        if len(_reach_avoiding(self._adj, self._vertices[0], set())) != len(self._vertices):
+        ids = sorted(set(chain.from_iterable(pairs)))
+        index = dict(zip(ids, range(len(ids))))
+        nbrs: list[list[int]] = [[] for _ in ids]
+        for u, v in pairs:
+            i = index[u]
+            j = index[v]
+            nbrs[i].append(j)
+            nbrs[j].append(i)
+        for ns in nbrs:
+            ns.sort()
+        # a self-loop lists a vertex in its own list twice, a parallel edge
+        # lists a neighbour twice: either way some list has a duplicate
+        if sum(map(len, map(set, nbrs))) != 2 * len(pairs):
+            _reject_first_bad_edge(pairs)
+        self._vertices = tuple(ids)
+        self._index = index
+        self._nbrs = nbrs
+        self._n_edges = len(pairs)
+        if -1 in self._column(0):
             raise GraphFormatError("graph is not connected")
 
+    def _column(self, i: int, banned=()) -> list[int]:
+        """Distances from the vertex at position i to every vertex, in vertex
+        order, -1 where it cannot reach: one BFS over `_nbrs` that never
+        enters a position in `banned` (which reads -1 too)."""
+        nbrs = self._nbrs
+        dist = [-1] * len(nbrs)
+        for b in banned:
+            dist[b] = 0
+        dist[i] = 0
+        queue = [i]
+        for v in queue:
+            d = dist[v] + 1
+            for u in nbrs[v]:
+                if dist[u] < 0:
+                    dist[u] = d
+                    queue.append(u)
+        for b in banned:
+            dist[b] = -1
+        return dist
+
     def neighbors(self, v) -> tuple:
-        return self._adj[v]
+        ids = self._vertices
+        return tuple([ids[j] for j in self._nbrs[self._index[v]]])
 
     def _require_vertex(self, v) -> None:
-        if v not in self._adj:
+        if v not in self._index:
             raise UnreachableVertexError(f"{v!r} is not a vertex")
+
+    def distances_from(self, source) -> dict:
+        self._require_vertex(source)
+        return dict(zip(self._vertices, self._column(self._index[source])))
 
     def vertices(self) -> tuple:
         return self._vertices
 
     def edges(self) -> list[tuple]:
-        return [(u, v) for u in self._vertices for v in self._adj[u] if u < v]
+        ids = self._vertices
+        return [(u, ids[j]) for i, u in enumerate(ids) for j in self._nbrs[i] if i < j]
 
     def __len__(self) -> int:
         return len(self._vertices)
@@ -126,40 +165,35 @@ class ExplicitGraph(Graph):
 
     def is_cut_point(self, v) -> bool:
         """True iff deleting v disconnects the graph."""
-        rest = [u for u in self._vertices if u != v]
-        if not rest:
-            return False
-        reached = _reach_avoiding(self._adj, rest[0], {v})
-        return len(reached) != len(rest)
+        return len(self.components_without([v])) > 1
 
     def components_without(self, cut: Iterable) -> list[set]:
         """Connected components of the graph with `cut` deleted, sorted by min vertex."""
-        cut = set(cut)
-        todo = [v for v in self._vertices if v not in cut]
-        seen: set = set()
+        index = self._index
+        banned = {index[v] for v in cut if v in index}
+        ids = self._vertices
+        todo = [i for i in range(len(ids)) if i not in banned]
         comps = []
-        for v in todo:
-            if v in seen:
-                continue
-            comp = _reach_avoiding(self._adj, v, cut)
-            seen |= comp
-            comps.append(comp)
-        return sorted(comps, key=lambda c: min(c))
+        while todo:  # each component starts at its least vertex
+            col = self._column(todo[0], banned)
+            comps.append({ids[i] for i in todo if col[i] >= 0})
+            todo = [i for i in todo if col[i] < 0]
+        return comps
 
     def cut_points(self) -> list:
         return [v for v in self._vertices if self.is_cut_point(v)]
 
 
-def _reach_avoiding(adj: dict, start, banned: set) -> set:
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        v = queue.popleft()
-        for u in adj[v]:
-            if u not in banned and u not in seen:
-                seen.add(u)
-                queue.append(u)
-    return seen
+def _reject_first_bad_edge(pairs: list) -> None:
+    """Raise GraphFormatError for the first self-loop or repeated edge, in input order."""
+    seen = set()
+    for u, v in pairs:
+        if u == v:
+            raise GraphFormatError(f"self-loop at {u!r}")
+        key = (u, v) if not v < u else (v, u)
+        if key in seen:
+            raise GraphFormatError(f"parallel edge {u!r} {v!r}")
+        seen.add(key)
 
 
 class ImplicitGraph(Graph):

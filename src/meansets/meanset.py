@@ -8,7 +8,7 @@ and the mean-set is the exact argmin of W_c over the graph.  Three solvers
 cover the three graph shapes:
 
   * mean_set_exact     -- full scan of a finite explicit graph, scored from
-                          one BFS per atom;
+                          one BFS column per atom on its index adjacency;
   * mean_set_tree      -- exact on trees: direct descent from a root over
                           the atoms sorted by root-path key (`path_key` on
                           a free group, else one BFS from the heaviest
@@ -27,8 +27,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate
-from operator import itemgetter, mul
+from itertools import accumulate, compress, repeat
+from operator import add, itemgetter, mul
 
 from .errors import NotATreeError, UnreachableAtomError, UnreachableVertexError
 from .freegroup import CayleyGraph
@@ -41,9 +41,10 @@ class MeanSetResult:
     """Argmin vertices plus the exact minimal weight.
 
     `steps` counts the solver's work: the vertices scanned by the exact
-    scan (all of them), the bounded scan (the certified ball, 0 for a point
-    mass) and the line scan (the support's hull), and the moves from the
-    root to the mean-set for the tree descent.
+    scan (all of them) and the bounded scan (the certified ball, 0 for a
+    point mass), and the moves from the root to the mean-set for the tree
+    descent.  The line solver reads only the atoms but reports the size of
+    the support's hull, the vertices a scan of the line would score.
     """
 
     vertices: frozenset
@@ -126,41 +127,44 @@ def _weight_fn(dist, nums: dict, c: int):
     return f
 
 
-def _argmin(candidates, weight, denom: int, c: int, method: str) -> MeanSetResult:
-    """Exact argmin of an integer weight numerator over a sized collection
-    of candidates; `steps` records how many were scanned."""
-    best = None
-    best_vs: list = []
-    for v in candidates:
-        w = weight(v)
-        if best is None or w < best:
-            best = w
-            best_vs = [v]
-        elif w == best:
-            best_vs.append(v)
+def _argmin(candidates, weights: list, denom: int, c: int, method: str,
+            steps: int | None = None) -> MeanSetResult:
+    """Exact argmin over a sized collection of candidates, `weights` being
+    their integer weight numerators in the same order; `steps` records the
+    vertices scanned, by default the candidates."""
+    best = min(weights)
     return MeanSetResult(
-        vertices=frozenset(best_vs),
+        vertices=frozenset(compress(candidates, map(best.__eq__, weights))),
         min_weight=Fraction(best, denom),
         class_c=c,
         method=method,
-        steps=len(candidates),
+        steps=len(candidates) if steps is None else steps,
     )
 
 
 def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     """Exact argmin over every vertex of a finite explicit graph.
 
-    One BFS per atom gives a column of distances to every vertex, and each
-    vertex is scored by lookups in the columns: O(|supp| * (V + E)) time and
-    O(|supp| * V) memory.  A graph with no vertex list (any implicit
-    graph) raises InfiniteGraphError before any atom is read.
+    Each atom's BFS runs on the graph's index adjacency (`_column`, never
+    `neighbors`) and gives its distances to every vertex as one list in
+    vertex order; the list is raised to the class's power, scaled by the
+    atom's mass and added into the running weights, then dropped.  So a
+    solve takes O(|supp| * (V + E)) time and O(V) memory: one column plus
+    the weights.  A graph with no vertex list (any implicit graph) raises
+    InfiniteGraphError before any atom is read.
     """
     _check_class(c)
     vertices = g.vertices()
     denom, nums = mu.numerators()
     _require_atoms(g, nums)
-    f = _weight_fn(_atom_distance(g, nums), nums, c)
-    return _argmin(vertices, f, denom, c, "exact")
+    index = g._index
+    weights = [0] * len(vertices)
+    for s, m in nums.items():
+        column = g._column(index[s])
+        if c == 2:
+            column = map(mul, column, column)
+        weights = list(map(add, weights, map(mul, column, repeat(m))))
+    return _argmin(vertices, weights, denom, c, "exact")
 
 
 def _sorted_support_descent(keys: tuple, masses: tuple, c: int):
@@ -348,7 +352,7 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         acc += r ** c * nums[s]
     radius = 3 * r if c == 2 else 4 * r
     ball = sorted(g.ball(v, radius))
-    return _argmin(ball, _weight_fn(dist, nums, c), denom, c, "bounded")
+    return _argmin(ball, list(map(_weight_fn(dist, nums, c), ball)), denom, c, "bounded")
 
 
 def measure_mean_set(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
@@ -368,20 +372,36 @@ def sample_mean_set(g: Graph, s: Sample, c: int = 2) -> MeanSetResult:
 # -- the integer line -------------------------------------------------------
 
 def line_mean_set(mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
-    """Mean-set on the integer line by scanning the convex hull of the support.
+    """Mean-set on the integer line in O(n) for n atoms, whatever their span.
 
-    The weight is convex in the vertex and strictly increasing outside the
-    hull, so the scan is exhaustive.
+    Class 2: the weight is a strictly convex quadratic with its real
+    minimum at the mean, so the argmin is among the floor and ceiling of the
+    exact mean.  Class 1: the weight is convex and piecewise linear with
+    integer breakpoints, so the argmin is every integer of the weighted
+    median interval, from the first atom where the cumulative mass reaches
+    half the total to the next atom if it reaches exactly half.  `steps`
+    is the size of the support's hull, the vertices a scan would score.
     """
     _check_class(c)
-    support = mu.support()
-    lo, hi = min(support), max(support)
     denom, nums = mu.numerators()
-    return _argmin(
-        range(lo, hi + 1),
-        lambda v: sum(abs(v - s) ** c * m for s, m in nums.items()),
-        denom, c, "line-scan",
-    )
+    atoms = list(nums)  # numerators come in vertex order and sum to denom
+
+    def weight(v):
+        return sum(abs(v - s) ** c * m for s, m in nums.items())
+
+    if c == 2:
+        first = sum(map(mul, nums, nums.values()))
+        candidates = sorted({first // denom, -(-first // denom)})
+        weights = list(map(weight, candidates))
+    else:
+        acc = 0
+        for k, s in enumerate(atoms):
+            acc += nums[s]
+            if 2 * acc >= denom:
+                break
+        candidates = range(s, atoms[k + 1] + 1 if 2 * acc == denom else s + 1)
+        weights = [weight(s)] * len(candidates)
+    return _argmin(candidates, weights, denom, c, "line-scan", steps=atoms[-1] - atoms[0] + 1)
 
 
 def classical_mean_gap(mu: AtomicMeasure) -> Fraction:

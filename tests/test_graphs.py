@@ -258,3 +258,97 @@ class TestImplicitGraphs:
         plain = ImplicitGraph(lambda n: (n - 1, n + 1))
         assert plain.distance(0, 9) == 9
         assert plain.ball(0, 3) == {-3, -2, -1, 0, 1, 2, 3}
+
+
+def sparse_relabel(rng: random.Random, g: ExplicitGraph) -> list[tuple]:
+    """g's edges on sparse ids that do not start at 0, shuffled, each edge
+    in a random orientation."""
+    ids = rng.sample(range(3, 10**7), len(g))
+    label = dict(zip(g.vertices(), ids))
+    edges = [(label[u], label[v]) if rng.random() < 0.5 else (label[v], label[u])
+             for u, v in g.edges()]
+    rng.shuffle(edges)
+    return edges
+
+
+def edge_list_distances(edges) -> dict:
+    """Floyd-Warshall straight from an edge list, without the graph class."""
+    vs = sorted({x for e in edges for x in e})
+    inf = float("inf")
+    d = {(u, v): 0 if u == v else inf for u in vs for v in vs}
+    for u, v in edges:
+        d[u, v] = d[v, u] = 1
+    for k in vs:
+        for i in vs:
+            for j in vs:
+                if d[i, k] + d[k, j] < d[i, j]:
+                    d[i, j] = d[i, k] + d[k, j]
+    return d
+
+
+SPARSE_EDGES = [(999, 3), (10**6, 17), (17, 3), (10**6, 999), (3, 10**6)]
+
+
+class TestIndexLayer:
+    """The id <-> position mapping of ExplicitGraph's index adjacency."""
+
+    def test_sparse_ids(self):
+        g = ExplicitGraph(SPARSE_EDGES)
+        assert g.vertices() == (3, 17, 999, 10**6)
+        assert g.edges() == [(3, 17), (3, 999), (3, 10**6), (17, 10**6), (999, 10**6)]
+        assert g.neighbors(3) == (17, 999, 10**6)
+        assert g.neighbors(17) == (3, 10**6)
+        assert g.distances_from(17) == {3: 1, 17: 0, 999: 2, 10**6: 1}
+        assert not g.is_tree
+        with pytest.raises(KeyError):
+            g.neighbors(0)  # position 0 holds the id 3, not the id 0
+
+    def test_distances_from_matches_floyd_warshall_on_sparse_ids(self):
+        rng = random.Random(1919)
+        for _ in range(40):
+            edges = sparse_relabel(rng, random_connected_graph(rng, 12))
+            g = ExplicitGraph(edges)
+            oracle = edge_list_distances(edges)
+            assert g.vertices() == tuple(sorted({x for e in edges for x in e}))
+            for s in g.vertices():
+                assert g.distances_from(s) == {v: oracle[s, v] for v in g.vertices()}
+                assert set(g.neighbors(s)) == {v for v in g.vertices() if oracle[s, v] == 1}
+
+    def test_column_reads_minus_one_where_banned_or_cut_off(self):
+        g = path_graph(5)
+        assert g._column(0) == [0, 1, 2, 3, 4]
+        assert g._column(0, {2}) == [0, 1, -1, -1, -1]
+        assert g._column(3, {2}) == [-1, -1, -1, 0, 1]
+
+    @pytest.mark.parametrize("edges, message", [
+        ([(3, 17), (17, 999), (999, 999), (17, 3)], "self-loop at 999"),
+        ([(3, 17), (17, 999), (999, 17), (5, 5)], "parallel edge 999 17"),
+        ([(10**6, 3), (3, 17), (3, 10**6)], "parallel edge 3 1000000"),
+        ([(3, 17), (17, 999), (17, 3), (999, 17)], "parallel edge 17 3"),
+        ([(3, 17), (17, 17), (17, 17)], "self-loop at 17"),
+    ], ids=["self-loop-first", "parallel-first", "parallel-reversed", "two-parallel",
+            "repeated-self-loop"])
+    def test_first_bad_edge_in_input_order(self, edges, message):
+        # the duplicate check is made in bulk; the error names the first
+        # offending edge of the input, with the message the per-edge check gave
+        with pytest.raises(GraphFormatError) as exc:
+            ExplicitGraph(edges)
+        assert str(exc.value) == message
+
+    def test_disconnected_sparse_ids(self):
+        with pytest.raises(GraphFormatError, match="not connected"):
+            ExplicitGraph([(3, 17), (999, 10**6)])
+
+    def test_cut_points_and_components_match_oracle_on_sparse_ids(self):
+        rng = random.Random(2020)
+        for _ in range(40):
+            g = ExplicitGraph(sparse_relabel(rng, random_connected_graph(
+                rng, 12, min_vertices=3, extra_edge_prob=0.1)))
+            vs = g.vertices()
+            for v in vs:
+                assert g.components_without([v]) == components_oracle(g, {v})
+                assert g.is_cut_point(v) == (len(components_oracle(g, {v})) > 1)
+            cut = set(rng.sample(vs, rng.randint(0, min(3, len(vs) - 1))))
+            assert g.components_without(cut) == components_oracle(g, cut)
+            # ids that are not vertices are ignored, as before
+            assert g.components_without(cut | {-5}) == components_oracle(g, cut)

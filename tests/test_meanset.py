@@ -49,14 +49,19 @@ from meansets.randomgen import (
 )
 
 from freewords import ball_words
+from test_graphs import SPARSE_EDGES, sparse_relabel
 
 
-def brute_force_mean_set(g: ExplicitGraph, mu: AtomicMeasure, c: int):
-    """Independent oracle: Floyd-Warshall distances, Fraction weights, argmin."""
-    vs = g.vertices()
+def brute_force_mean_set(g: ExplicitGraph, mu: AtomicMeasure, c: int, edges=None):
+    """Independent oracle: Floyd-Warshall distances, Fraction weights, argmin.
+    Given `edges` (the list g was built from), it reads vertices and edges
+    from that list instead of from g."""
+    if edges is None:
+        edges = g.edges()
+    vs = sorted({x for e in edges for x in e})
     inf = float("inf")
     d = {(u, v): 0 if u == v else inf for u in vs for v in vs}
-    for u, v in g.edges():
+    for u, v in edges:
         d[u, v] = d[v, u] = 1
     for k in vs:
         for i in vs:
@@ -69,6 +74,17 @@ def brute_force_mean_set(g: ExplicitGraph, mu: AtomicMeasure, c: int):
     }
     best = min(weights.values())
     return frozenset(v for v, w in weights.items() if w == best), best
+
+
+def line_hull_scan(mu: AtomicMeasure, c: int):
+    """Independent oracle for the integer line: score every integer of the
+    support's hull with Fraction weights (the weight grows outside it)."""
+    support = mu.support()
+    lo, hi = min(support), max(support)
+    weights = {v: sum((abs(v - s) ** c * mu[s] for s in support), Fraction(0))
+               for v in range(lo, hi + 1)}
+    best = min(weights.values())
+    return frozenset(v for v, w in weights.items() if w == best), best, hi - lo + 1
 
 
 def as_implicit(g: ExplicitGraph) -> ImplicitGraph:
@@ -153,6 +169,41 @@ class TestMeanSetExact:
             assert res.vertices == vs
             assert res.min_weight == best
             assert res.steps == len(g)
+
+    def test_sparse_ids_match_floyd_warshall(self):
+        # ids far apart and not starting at 0, edges shuffled and flipped:
+        # the scan's columns are in vertex order and must map back to ids
+        rng = random.Random(1920)
+        for _ in range(60):
+            edges = sparse_relabel(rng, random_connected_graph(rng, 12, extra_edge_prob=0.3))
+            g = ExplicitGraph(edges)
+            mu = random_measure(g.vertices(), rng)
+            for c in (1, 2):
+                res = mean_set_exact(g, mu, c)
+                vs, best = brute_force_mean_set(g, mu, c, edges=edges)
+                assert (res.vertices, res.min_weight) == (vs, best)
+                assert (res.method, res.steps) == ("exact", len(g))
+        g = ExplicitGraph(SPARSE_EDGES)
+        res = mean_set_exact(g, AtomicMeasure.from_masses({17: 1, 999: 1}), 2)
+        assert res.vertices == frozenset([3, 10**6]) and res.min_weight == 1
+
+    def test_scan_runs_on_index_lists(self):
+        # one BFS column per atom on the index adjacency, no `neighbors` call
+        class CountingGraph(ExplicitGraph):
+            columns = 0
+
+            def neighbors(self, v):
+                raise AssertionError("the exact scan walked the graph by id")
+
+            def _column(self, i, banned=()):
+                self.columns += 1
+                return super()._column(i, banned)
+
+        g = CountingGraph((i, (i + 1) % 50) for i in range(50))
+        g.columns = 0  # the connectivity check at construction is not solver work
+        mu = AtomicMeasure.from_masses({0: 1, 7: 2, 30: 3})
+        assert mean_set_exact(g, mu, 1) == mean_set_exact(cycle_graph(50), mu, 1)
+        assert g.columns == 3
 
     def test_long_path_work_is_one_bfs_per_atom(self):
         class CountingPath(ExplicitGraph):
@@ -501,8 +552,7 @@ class TestTreeSolverDifferential:
             heaviest = min(mu.support(), key=lambda s: (-mu[s], s))
             for c in (1, 2):
                 res = mean_set_tree(line, mu, c)
-                ref = line_mean_set(mu, c)
-                assert (res.vertices, res.min_weight) == (ref.vertices, ref.min_weight)
+                assert (res.vertices, res.min_weight) == line_hull_scan(mu, c)[:2]
                 assert res.steps == min(abs(heaviest - v) for v in res.vertices)
 
     def test_deep_descent_on_wide_line(self):
@@ -750,6 +800,40 @@ class TestIntegerLine:
 
     def test_point_mass_gap_zero(self):
         assert classical_mean_gap(AtomicMeasure.point_mass(7)) == 0
+
+    def test_matches_hull_scan_oracle(self):
+        rng = random.Random(4848)
+        for trial in range(400):
+            span = rng.choice([2, 6, 25])
+            masses = {rng.randint(-span, span): rng.randint(1, 6) for _ in range(rng.randint(1, 6))}
+            if trial % 3 == 0:
+                masses = {v: Fraction(m, rng.randint(1, 5)) for v, m in masses.items()}
+            mu = AtomicMeasure.from_masses(masses)
+            for c in (1, 2):
+                res = line_mean_set(mu, c)
+                assert (res.vertices, res.min_weight, res.steps) == line_hull_scan(mu, c)
+                assert (res.method, res.class_c) == ("line-scan", c)
+
+    def test_class_one_median_interval(self):
+        # half the mass at each end: every integer between them is a median
+        res = line_mean_set(AtomicMeasure.from_masses({-3: 2, 1: 1, 4: 3}), 1)
+        assert res.vertices == frozenset(range(1, 5))
+        assert res.min_weight == Fraction(4 * 2 + 3 * 3, 6)
+
+    def test_atoms_far_apart(self):
+        # a hull scan would score 10^9 + 1 integers; the solver reads 2 atoms
+        far = 10**9
+        mu = AtomicMeasure.from_masses({0: 1, far: 1})
+        res = line_mean_set(mu, 2)
+        assert res.vertices == frozenset([far // 2])
+        assert res.min_weight == (far // 2) ** 2
+        assert res.steps == far + 1
+        assert classical_mean_gap(mu) == 0
+        res = line_mean_set(AtomicMeasure.from_masses({0: 1, far: 2}), 1)
+        assert (res.vertices, res.min_weight) == (frozenset([far]), Fraction(far, 3))
+        odd = AtomicMeasure.from_masses({-far: 1, far + 1: 1})
+        assert line_mean_set(odd, 2).vertices == frozenset([0, 1])
+        assert classical_mean_gap(odd) == Fraction(1, 2)
 
     def test_random_measures_contract(self):
         from meansets.randomgen import random_integer_measure
