@@ -43,7 +43,7 @@ from .graphs import (
     load_graph,
     parse_graph,
 )
-from .measures import AtomicMeasure, Sample, draw, empirical, load_measure, parse_measure, shift
+from .measures import AtomicMeasure, draw, empirical, load_measure, parse_measure, shift
 from .meanset import (
     MeanSetResult,
     classical_mean_gap,
@@ -56,7 +56,6 @@ from .meanset import (
     weight,
 )
 from .multivertex import (
-    IncrementVector,
     PositivityReport,
     WalkResult,
     WalkState,

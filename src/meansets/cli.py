@@ -46,6 +46,15 @@ from .multivertex import (
     first_moment,
 )
 
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are one line on stderr,
+    `error: <message>`, with exit code 2; subparsers are of this class too."""
+
+    def error(self, message):
+        self.exit(2, f"error: {message}\n")
+
+
 def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
@@ -213,7 +222,7 @@ def _cmd_check(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="meanset-lab",
         description="Mean-sets on graphs and free groups: solvers and experiments.",
     )

@@ -60,13 +60,6 @@ class Graph:
                 return dist[v]
         raise UnreachableVertexError(f"no path from {u!r} to {v!r}")
 
-    def distances_from(self, source) -> dict:
-        """Distance from `source` to every vertex of its component.
-        Terminates only when the component is finite."""
-        for _, dist in self._layers(source):
-            pass
-        return dist
-
     def ball(self, v, r: int) -> set:
         """All vertices at distance <= r from v."""
         if r < 0:
@@ -146,6 +139,7 @@ class ExplicitGraph(Graph):
             raise UnreachableVertexError(f"{v!r} is not a vertex")
 
     def distances_from(self, source) -> dict:
+        """Distance from `source` to every vertex, in vertex order."""
         self._require_vertex(source)
         return dict(zip(self._vertices, self._column(self._index[source])))
 
@@ -224,6 +218,9 @@ class ImplicitGraph(Graph):
 
     def vertices(self):
         raise InfiniteGraphError("vertex scan needs a finite explicit graph")
+
+    def distances_from(self, source):
+        raise InfiniteGraphError("distances to every vertex need a finite explicit graph")
 
     def is_cut_point(self, v):
         raise InfiniteGraphError("cut-point test needs a finite explicit graph")

@@ -29,11 +29,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul
+from typing import Mapping
 
 from .errors import NotATreeError, UnreachableAtomError, UnreachableVertexError
 from .freegroup import CayleyGraph
 from .graphs import ExplicitGraph, Graph
-from .measures import AtomicMeasure, Sample, empirical
+from .measures import AtomicMeasure, empirical
 
 
 @dataclass(frozen=True)
@@ -364,9 +365,9 @@ def measure_mean_set(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     return mean_set_bounded(g, mu, c)
 
 
-def sample_mean_set(g: Graph, s: Sample, c: int = 2) -> MeanSetResult:
-    """Mean-set of the empirical measure of a sample."""
-    return measure_mean_set(g, empirical(s), c)
+def sample_mean_set(g: Graph, counts: Mapping, c: int = 2) -> MeanSetResult:
+    """Mean-set of the empirical measure of a sample given by its counts."""
+    return measure_mean_set(g, empirical(counts), c)
 
 
 # -- the integer line -------------------------------------------------------

@@ -132,28 +132,6 @@ class AtomicMeasure:
         return sum((abs(self[v] - other[v]) for v in keys), Fraction(0)) / 2
 
 
-class Sample:
-    """Multiset of observed vertices with exact integer counts."""
-
-    __slots__ = ("counts", "n")
-
-    def __init__(self, counts: Mapping):
-        cleaned = {v: int(c) for v, c in counts.items() if c}
-        if any(c < 0 for c in cleaned.values()):
-            raise ValueError("counts must be positive")
-        n = sum(cleaned.values())
-        if n == 0:
-            raise ValueError("sample must be nonempty")
-        self.counts = dict(sorted(cleaned.items()))
-        self.n = n
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Sample) and self.counts == other.counts
-
-    def __repr__(self) -> str:
-        return f"Sample({self.counts})"
-
-
 def _increment_sampler(getrandbits, cum: list):
     """draw(count): the 1-based increments bisect_right(cum, r) of the next
     count values r of randrange(cum[-1]), as bytes or a list of ints.
@@ -207,8 +185,9 @@ def _atom_sampler(mu: AtomicMeasure, rng: random.Random):
     return _increment_sampler(rng.getrandbits, [0, *accumulate(mu._nums.values())])
 
 
-def draw(mu: AtomicMeasure, n: int, rng: random.Random) -> Sample:
-    """n i.i.d. draws from mu, aggregated into counts.
+def draw(mu: AtomicMeasure, n: int, rng: random.Random) -> dict:
+    """n i.i.d. draws from mu, aggregated into counts: a dict from each
+    drawn atom to its (positive) count, in vertex order.
 
     Uses exact cumulative-weight inversion: a uniform integer below the
     common denominator selects an atom, so the draw distribution is exactly
@@ -223,12 +202,13 @@ def draw(mu: AtomicMeasure, n: int, rng: random.Random) -> Sample:
     counts: Counter = Counter()
     for start in range(0, n, _CHUNK):
         counts.update(sampler(min(_CHUNK, n - start)))
-    return Sample({atoms[i]: c for i, c in counts.items()})
+    return {atoms[i]: counts[i] for i in sorted(counts)}
 
 
-def empirical(s: Sample) -> AtomicMeasure:
-    """The relative-frequency measure count/n of a sample."""
-    return AtomicMeasure.from_masses(s.counts)
+def empirical(counts: Mapping) -> AtomicMeasure:
+    """The relative-frequency measure count/n of a sample given by its
+    counts; ValueError if a count is negative or none is positive."""
+    return AtomicMeasure.from_masses(counts)
 
 
 def shift(mu: AtomicMeasure, g) -> AtomicMeasure:

@@ -33,14 +33,6 @@ _COEFF_BOUND = 5  # has_positive_lattice_vector's coefficients lie in [-5, 5]
 
 
 @dataclass(frozen=True)
-class IncrementVector:
-    """One aggregated step of the associated walk."""
-
-    coords: tuple
-    probability: Fraction
-
-
-@dataclass(frozen=True)
 class WalkState:
     step: int
     position: tuple
@@ -74,11 +66,12 @@ def increments(
     base,
     others,
     validate: bool = True,
-) -> list[IncrementVector]:
-    """Increment distribution of the walk associated with the base vertex.
+) -> AtomicMeasure:
+    """Increment law of the walk associated with the base vertex: a measure
+    on coordinate tuples, whose support is sorted by coordinates.
 
-    base plus others must be exactly the mean-set of mu; equal vectors are
-    aggregated, so the probabilities sum to one, and sorted by coords.
+    base plus others must be exactly the mean-set of mu; atoms with equal
+    increments add their masses.
     """
     others = list(others)
     if validate:
@@ -88,14 +81,14 @@ def increments(
             raise NotMeanSetError(
                 f"claimed mean-set {sorted(claimed)!r} but solver found {sorted(solved)!r}"
             )
-    denom, nums = mu.numerators()
+    _, nums = mu.numerators()
     dist = _atom_distance(g, nums)
     grouped: dict[tuple, int] = {}
     for s, m in nums.items():
         d_base = dist(s, base) ** 2
         coords = tuple(dist(s, v) ** 2 - d_base for v in others)
         grouped[coords] = grouped.get(coords, 0) + m
-    return [IncrementVector(coords, Fraction(m, denom)) for coords, m in sorted(grouped.items())]
+    return AtomicMeasure.from_masses(grouped)
 
 
 def _dimension(vectors) -> int:
@@ -106,26 +99,25 @@ def _dimension(vectors) -> int:
     return dims.pop() if dims else 0
 
 
-def first_moment(incs: list[IncrementVector]) -> tuple:
+def first_moment(incs: AtomicMeasure) -> tuple:
     """Exact mean increment; the zero vector for any genuine mean-set walk."""
-    dim = _dimension([iv.coords for iv in incs])
+    dim = _dimension(incs.support())
+    denom, nums = incs.numerators()
     return tuple(
-        sum((iv.probability * iv.coords[i] for iv in incs), Fraction(0))
+        Fraction(sum(m * coords[i] for coords, m in nums.items()), denom)
         for i in range(dim)
     )
 
 
-def second_moment(incs: list[IncrementVector]) -> Fraction:
+def second_moment(incs: AtomicMeasure) -> Fraction:
     """Exact expected squared euclidean step length; finite by construction."""
-    return sum(
-        (iv.probability * sum(x * x for x in iv.coords) for iv in incs),
-        Fraction(0),
-    )
+    denom, nums = incs.numerators()
+    return Fraction(sum(m * sum(x * x for x in coords) for coords, m in nums.items()), denom)
 
 
-def genuine_dimension(incs: list[IncrementVector]) -> int:
+def genuine_dimension(incs: AtomicMeasure) -> int:
     """Rank of the integer lattice generated by the increment vectors."""
-    rows = [list(iv.coords) for iv in incs]
+    rows = list(map(list, incs.support()))
     _dimension(rows)  # the basis reads the number of columns off one row
     return len(_lattice_basis(rows))
 
@@ -218,9 +210,7 @@ def has_positive_lattice_vector(vectors: list[tuple]) -> bool | None:
     return None
 
 
-def positivity_hypotheses(
-    incs: list[IncrementVector], mu: AtomicMeasure, base
-) -> PositivityReport:
+def positivity_hypotheses(incs: AtomicMeasure, mu: AtomicMeasure, base) -> PositivityReport:
     """Check the sufficient conditions for orthant recurrence of the walk
     whose increment law `increments` gave as incs for this base.
 
@@ -229,18 +219,19 @@ def positivity_hypotheses(
     search is immediate.
     """
     return PositivityReport(
-        has_positive_vector=has_positive_lattice_vector([iv.coords for iv in incs]),
+        has_positive_vector=has_positive_lattice_vector(list(incs.support())),
         mu_base_positive=mu[base] > 0,
     )
 
 
 def simulate_walk(
-    incs: list[IncrementVector],
+    incs: AtomicMeasure,
     steps: int,
     rng: random.Random,
     trace_every: int = 100,
 ) -> WalkResult:
-    """Simulate the walk and report nonnegative-orthant visit statistics.
+    """Simulate the walk whose steps incs gives (an increment law as
+    `increments` returns it) and report nonnegative-orthant visit statistics.
 
     The trace is thinned to every trace_every-th state to bound memory; the
     visit count and last-visit step are exact over all steps.  Recurrence is
@@ -267,15 +258,10 @@ def simulate_walk(
         raise ValueError("need steps >= 1")
     if trace_every < 1:
         raise ValueError("need trace_every >= 1")
-    if not incs:
-        raise ValueError("need at least one increment vector")
-    if any(iv.probability < 0 for iv in incs):
-        raise ValueError("increment probabilities must be nonnegative")
-    dim = _dimension([iv.coords for iv in incs])
-    law = AtomicMeasure({i: iv.probability for i, iv in enumerate(incs)})
-    incs = [incs[i] for i in law.support()]  # increments of probability 0 are never drawn
-    draw = _atom_sampler(law, rng)
-    reach = steps * max((abs(x) for iv in incs for x in iv.coords), default=0)
+    support = incs.support()
+    dim = _dimension(support)
+    draw = _atom_sampler(incs, rng)
+    reach = steps * max((abs(x) for coords in support for x in coords), default=0)
     width = reach.bit_length() + 1
     shifts = range(0, width * dim, width)
     bias = 1 << width - 1
@@ -283,7 +269,7 @@ def simulate_walk(
     low, top = shifts[:-1], shifts[-1:]  # both empty in dimension 0
     high = sum(bias << s for s in low)  # the origin: every field at its bias
     mask = high | 1 << width * dim  # q & mask == high iff no coordinate is negative
-    packed = [0, *(sum(map(lshift, iv.coords, shifts)) for iv in incs)]
+    packed = [0, *(sum(map(lshift, coords, shifts)) for coords in support)]
 
     def position(q: int) -> tuple:
         return tuple([(q >> s & field) - bias for s in low] + [q >> s for s in top])

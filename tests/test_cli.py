@@ -1,6 +1,5 @@
 import json
 import random
-from fractions import Fraction
 
 import pytest
 
@@ -8,7 +7,8 @@ from meansets import experiments
 from meansets.cli import main
 from meansets.experiments import derive_seed
 from meansets.freegroup import CayleyGraph
-from meansets.multivertex import IncrementVector, simulate_walk
+from meansets.measures import AtomicMeasure
+from meansets.multivertex import simulate_walk
 
 
 @pytest.fixture
@@ -220,10 +220,13 @@ class TestMeansetCommand:
         assert code == 0
         assert json.loads(out) == payload
 
-    def test_usage_error_exits_2(self, path_instance):
+    def test_usage_error_exits_2(self, capsys, path_instance):
         with pytest.raises(SystemExit) as exc:
             main(["meanset", "--measure", "nowhere"])
         assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: one of the arguments --graph --free-rank is required\n"
 
 
 class TestWalkCommand:
@@ -248,10 +251,7 @@ class TestWalkCommand:
         assert payload["steps"] == 2000
         assert 0 <= payload["orthant_visits"] <= 2000
         # the walk's statistics do not depend on how its trace is thinned
-        incs = [
-            IncrementVector(coords=(x,), probability=Fraction(1, 2))
-            for x in (-3, 3)
-        ]
+        incs = AtomicMeasure.uniform([(-3,), (3,)])
         rng = random.Random(derive_seed(5, "walk"))
         walk = simulate_walk(incs, 2000, rng)
         assert (payload["orthant_visits"], payload["last_visit"]) == (
@@ -413,9 +413,49 @@ def test_bad_numeric_argument_exits_2(capsys, path_instance, argv, flag):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    err = capsys.readouterr().err
-    assert f"error: argument {flag}:" in err
-    assert "Traceback" not in err
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: argument {flag}:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        ([], "the following arguments are required: command"),
+        (["--bogus"], "the following arguments are required: command"),
+        (["mean"], "argument command: invalid choice"),
+        (["check", "--bogus"], "unrecognized arguments: --bogus"),
+        (["check", "--seed"], "argument --seed: expected one argument"),
+        (["check", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+        (["walk", "--graph", "{graph}"], "the following arguments are required: --measure"),
+        (["decay", "--graph", "{graph}", "--measure", "{measure}"],
+         "the following arguments are required: --samples"),
+        (["meanset", "--graph", "{graph}", "--free-rank", "2", "--measure", "{measure}"],
+         "argument --free-rank: not allowed with argument --graph"),
+    ],
+    ids=["no-command", "unknown-option-only", "unknown-command", "unknown-option",
+         "missing-value", "bad-choice", "missing-measure", "missing-samples", "both-sources"],
+)
+def test_usage_error_is_one_line(capsys, path_instance, argv, message):
+    graph, measure = path_instance
+    argv = [a.format(graph=graph, measure=measure) for a in argv]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv", [["-h"], ["walk", "-h"]])
+def test_help_is_unchanged(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: meanset-lab") and err == ""
 
 
 @pytest.mark.parametrize("command", ["meanset", "decay"])

@@ -94,6 +94,10 @@ class TestDistance:
             g.distance(0, 5)
 
 
+def never_called(v):
+    raise AssertionError(f"neighbors of {v!r} asked for")
+
+
 class TestDistancesFrom:
     def test_matches_floyd_warshall(self):
         rng = random.Random(808)
@@ -119,6 +123,22 @@ class TestDistancesFrom:
         # u == v used to answer 0 before the vertex check
         with pytest.raises(UnreachableVertexError):
             path_graph(3).distance(7, 7)
+
+    @pytest.mark.parametrize(
+        "graph, source",
+        [
+            (integer_line, 0),
+            (integer_grid, (0, 0)),
+            (lambda: CayleyGraph(2), "e"),
+            (lambda: ImplicitGraph(never_called), 0),
+        ],
+        ids=["line", "grid", "cayley-2", "no-search"],
+    )
+    def test_implicit_graph_raises(self, graph, source):
+        # a BFS over the whole component of an infinite graph never ends,
+        # so the call raises before it asks for any neighbour
+        with pytest.raises(InfiniteGraphError):
+            graph().distances_from(source)
 
 
 class TestBall:

@@ -28,7 +28,7 @@ from meansets.graphs import (
     integer_line,
     path_graph,
 )
-from meansets.measures import AtomicMeasure, Sample, empirical, shift
+from meansets.measures import AtomicMeasure, empirical, shift
 from meansets.meanset import (
     classical_mean_gap,
     line_mean_set,
@@ -706,11 +706,11 @@ class TestFreeGroupPrefixTrie:
 class TestSampleMeanSet:
     def test_constant_sample(self):
         g = path_graph(4)
-        res = sample_mean_set(g, Sample({2: 9}), 2)
+        res = sample_mean_set(g, {2: 9}, 2)
         assert res.vertices == frozenset([2])
 
     def test_two_point_line_sample(self):
-        res = sample_mean_set(integer_line(), Sample({0: 1, 1: 1}), 2)
+        res = sample_mean_set(integer_line(), {0: 1, 1: 1}, 2)
         assert res.vertices == frozenset([0, 1])
 
     def test_definitional_equivalence(self):
@@ -718,8 +718,7 @@ class TestSampleMeanSet:
         for _ in range(40):
             g = random_connected_graph(rng, 10)
             counts = {v: rng.randint(1, 5) for v in rng.sample(g.vertices(), rng.randint(1, len(g)))}
-            s = Sample(counts)
-            assert sample_mean_set(g, s, 2).vertices == mean_set_exact(g, empirical(s), 2).vertices
+            assert sample_mean_set(g, counts, 2).vertices == mean_set_exact(g, empirical(counts), 2).vertices
 
 
 class TestShiftProperty:

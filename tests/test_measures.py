@@ -11,7 +11,6 @@ from meansets.freegroup import word_from_str
 from meansets.measures import (
     _CHUNK,
     AtomicMeasure,
-    Sample,
     draw,
     empirical,
     parse_measure,
@@ -142,8 +141,7 @@ def test_normaliser_matches_fraction_oracle():
 class TestDraw:
     def test_point_mass(self):
         mu = AtomicMeasure.point_mass("v")
-        s = draw(mu, 5, random.Random(1))
-        assert s.counts == {"v": 5}
+        assert draw(mu, 5, random.Random(1)) == {"v": 5}
 
     def test_determinism(self):
         mu = AtomicMeasure.from_masses({0: 1, 1: 2, 2: 3})
@@ -157,15 +155,14 @@ class TestDraw:
         inside = 0
         runs = 100
         for seed in range(runs):
-            s = draw(mu, 10_000, random.Random(seed))
-            if abs(s.counts.get(0, 0) - 5000) <= 150:
+            counts = draw(mu, 10_000, random.Random(seed))
+            if abs(counts.get(0, 0) - 5000) <= 150:
                 inside += 1
         assert inside >= 99
 
     def test_law_of_large_numbers_deviation(self):
         mu = AtomicMeasure.from_masses({0: 1, 1: 2, 2: 3})
-        s = draw(mu, 100_000, random.Random(7))
-        emp = empirical(s)
+        emp = empirical(draw(mu, 100_000, random.Random(7)))
         dev = max(abs(emp[v] - mu[v]) for v in mu.support())
         assert dev < Fraction(1, 100)
 
@@ -202,24 +199,36 @@ class TestDraw:
                 v = atoms[bisect_right(cum, ref.randrange(denom))]
                 counts[v] = counts.get(v, 0) + 1
             rng = random.Random(seed)
-            assert draw(mu, n, rng) == Sample(counts)
+            got = draw(mu, n, rng)
+            assert got == counts
+            assert list(got) == [v for v in atoms if v in counts]  # vertex order
             assert rng.getstate() == ref.getstate()
 
 
 class TestEmpirical:
     def test_two_singletons(self):
-        s = Sample({"a": 1, "b": 1})
-        mu = empirical(s)
+        mu = empirical({"a": 1, "b": 1})
         assert mu["a"] == mu["b"] == Fraction(1, 2)
 
     def test_single_atom(self):
-        assert empirical(Sample({"v": 7})) == AtomicMeasure.point_mass("v")
+        assert empirical({"v": 7}) == AtomicMeasure.point_mass("v")
+
+    def test_zero_counts_dropped(self):
+        assert empirical({"a": 0, "b": 3, "c": 0}) == AtomicMeasure.point_mass("b")
+
+    @pytest.mark.parametrize(
+        "counts", [{}, {"a": 0}, {"a": 2, "b": -1}, {"a": -1, "b": 1}],
+        ids=["empty", "all-zero", "negative", "negative-sum-zero"],
+    )
+    def test_bad_counts_rejected(self, counts):
+        with pytest.raises(ValueError):
+            empirical(counts)
 
     def test_sums_to_one(self):
         rng = random.Random(5)
         for _ in range(20):
             counts = {i: rng.randint(1, 9) for i in range(rng.randint(1, 6))}
-            mu = empirical(Sample(counts))
+            mu = empirical(counts)
             assert sum(mu[v] for v in mu.support()) == 1
             n = sum(counts.values())
             assert mu == AtomicMeasure({v: Fraction(c, n) for v, c in counts.items()})

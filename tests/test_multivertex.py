@@ -1,6 +1,8 @@
 import random
 from bisect import bisect_right
+from collections import defaultdict
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
 
 import pytest
@@ -11,7 +13,6 @@ from meansets.measures import AtomicMeasure, _increment_sampler
 from meansets.meanset import mean_set_exact, weight
 from meansets.multivertex import (
     _BLOCK,
-    IncrementVector,
     WalkResult,
     WalkState,
     dimension_invariance_check,
@@ -23,7 +24,11 @@ from meansets.multivertex import (
     second_moment,
     simulate_walk,
 )
-from meansets.randomgen import random_multivertex_instance
+from meansets.randomgen import (
+    random_connected_graph,
+    random_measure,
+    random_multivertex_instance,
+)
 
 
 def rational_rank(rows: list[list[int]]) -> int:
@@ -47,21 +52,18 @@ def rational_rank(rows: list[list[int]]) -> int:
     return rank
 
 
-def reference_walk(incs, steps, rng, trace_every=100):
+def reference_walk(law, steps, rng, trace_every=100):
     """Independent oracle: the walk one randrange call per step."""
-    dim = len(incs[0].coords)
-    denom = lcm(*(x.probability.denominator for x in incs))
-    cum = []
-    acc = 0
-    for x in incs:
-        acc += int(x.probability * denom)
-        cum.append(acc)
+    atoms = law.items()
+    dim = len(atoms[0][0])
+    denom = lcm(*(p.denominator for _, p in atoms))
+    cum = list(accumulate(int(p * denom) for _, p in atoms))
     position = [0] * dim
     visits = 0
     last_visit = None
     trace = [WalkState(step=0, position=tuple(position))]
     for n in range(1, steps + 1):
-        step_vec = incs[bisect_right(cum, rng.randrange(denom))].coords
+        step_vec = atoms[bisect_right(cum, rng.randrange(denom))][0]
         for i in range(dim):
             position[i] += step_vec[i]
         if all(x >= 0 for x in position):
@@ -78,17 +80,30 @@ def reference_walk(incs, steps, rng, trace_every=100):
     )
 
 
+def reference_increments(g, mu, base, others):
+    """Independent oracle: each atom's coordinates from graph distances,
+    mapped to the sum of its atoms' Fraction weights, sorted by coordinates."""
+    law = defaultdict(Fraction)
+    for s, w in mu.items():
+        d_base = g.distance(base, s) ** 2
+        law[tuple(g.distance(v, s) ** 2 - d_base for v in others)] += w
+    return sorted(law.items())
+
+
 def random_increments(rng, dim, max_weight):
-    """Seeded increment set; weights up to max_weight set the denominator."""
+    """Seeded increment law; weights up to max_weight set the denominator."""
     weights = [rng.randint(1, max_weight) for _ in range(rng.randint(1, 6))]
     total = sum(weights)
-    return [
-        iv([rng.randint(-4, 4) for _ in range(dim)], w, total) for w in weights
-    ]
+    return iv(*[([rng.randint(-4, 4) for _ in range(dim)], w, total) for w in weights])
 
 
-def iv(coords, p, q=1):
-    return IncrementVector(coords=tuple(coords), probability=Fraction(p, q))
+def iv(*steps):
+    """The increment law of the steps (coords, p) and (coords, p, q): coords
+    with probability p (or p/q), the probabilities of equal coords added."""
+    probs = defaultdict(Fraction)
+    for coords, *p in steps:
+        probs[tuple(coords)] += Fraction(*p)
+    return AtomicMeasure(probs)
 
 
 TWO_POINT_LINE = (integer_line(), AtomicMeasure.uniform([0, 1]), 0, [1])
@@ -98,8 +113,7 @@ class TestIncrements:
     def test_two_point_line(self):
         g, mu, base, others = TWO_POINT_LINE
         incs = increments(g, mu, base, others)
-        table = {iv.coords: iv.probability for iv in incs}
-        assert table == {(1,): Fraction(1, 2), (-1,): Fraction(1, 2)}
+        assert incs.items() == [((-1,), Fraction(1, 2)), ((1,), Fraction(1, 2))]
 
     def test_probabilities_sum_to_one_and_aggregate(self):
         # two atoms contributing the same vector must merge
@@ -108,16 +122,14 @@ class TestIncrements:
         res = mean_set_exact(g, mu, 2)
         vs = sorted(res.vertices)
         incs = increments(g, mu, vs[0], vs[1:])
-        assert sum((x.probability for x in incs), Fraction(0)) == 1
+        assert sum((p for _, p in incs.items()), Fraction(0)) == 1
 
     def test_degenerate_single_vertex_mean_set(self):
         g = star_graph(4)
         mu = AtomicMeasure.uniform([1, 2, 3, 4])
         assert mean_set_exact(g, mu, 2).vertices == frozenset([0])
         incs = increments(g, mu, 0, [])
-        assert len(incs) == 1
-        assert incs[0].coords == ()
-        assert incs[0].probability == 1
+        assert incs.items() == [((), 1)]
 
     def test_validation_rejects_non_mean_set(self):
         g, mu, *_ = TWO_POINT_LINE
@@ -140,14 +152,51 @@ class TestIncrements:
             assert all(x == 0 for x in first_moment(incs))
 
 
+class TestIncrementsDifferential:
+    def test_matches_reference_aggregation(self):
+        # any base and others on random small graphs, mean-set or not; on
+        # graphs this small, atoms often share an increment, and the count
+        # of such laws keeps the aggregation exercised
+        rng = random.Random(2024)
+        merged = 0
+        for _ in range(300):
+            g = random_connected_graph(rng, 9)
+            mu = random_measure(g.vertices(), rng, max_mass=6)
+            chosen = rng.sample(g.vertices(), rng.randint(1, min(4, len(g))))
+            base, others = chosen[0], chosen[1:]
+            incs = increments(g, mu, base, others, validate=False)
+            expected = reference_increments(g, mu, base, others)
+            assert incs.items() == expected
+            merged += len(expected) < len(mu)
+            dim = len(others)
+            assert first_moment(incs) == tuple(
+                sum((p * coords[i] for coords, p in expected), Fraction(0)) for i in range(dim)
+            )
+            assert second_moment(incs) == sum(
+                (p * sum(x * x for x in coords) for coords, p in expected), Fraction(0)
+            )
+        assert merged > 50
+
+    def test_matches_reference_on_mean_sets(self):
+        rng = random.Random(2025)
+        for _ in range(60):
+            g, mu, meanset = random_multivertex_instance(rng)
+            base, *others = sorted(meanset)
+            incs = increments(g, mu, base, others)
+            assert incs.items() == reference_increments(g, mu, base, others)
+            assert all(x == 0 for x in first_moment(incs))
+
+
 class TestGenuineDimension:
     def test_two_point_line_is_one(self):
         g, mu, base, others = TWO_POINT_LINE
         assert genuine_dimension(increments(g, mu, base, others)) == 1
 
     def test_zero_vectors(self):
-        assert genuine_dimension([iv((0, 0), 1)]) == 0
-        assert genuine_dimension([]) == 0
+        assert genuine_dimension(iv(((0, 0), 1))) == 0
+        # a walk with no increments cannot be built
+        with pytest.raises(ValueError, match="nonempty support"):
+            AtomicMeasure({})
 
     def test_matches_rational_elimination_oracle(self):
         rng = random.Random(321)
@@ -156,7 +205,7 @@ class TestGenuineDimension:
             cols = rng.randint(1, 5)
             mat = [[rng.randint(-4, 4) for _ in range(cols)] for _ in range(rows)]
             total = Fraction(1, len(mat))
-            incs = [iv(r, total) for r in mat]
+            incs = iv(*[(r, total) for r in mat])
             assert genuine_dimension(incs) == rational_rank(mat)
 
     def test_rank_deficient_matches_rational_oracle(self):
@@ -170,7 +219,7 @@ class TestGenuineDimension:
                 [sum(rng.randint(-3, 3) * g[j] for g in gens) for j in range(cols)]
                 for _ in range(rng.randint(1, 6))
             ]
-            incs = [iv(r, 1, len(mat)) for r in mat]
+            incs = iv(*[(r, 1, len(mat)) for r in mat])
             assert genuine_dimension(incs) == rational_rank(mat)
 
     def test_base_invariance_on_random_instances(self):
@@ -232,7 +281,7 @@ class TestMoments:
         assert second_moment(increments(g, mu, base, others)) == 1
 
     def test_zero_increments(self):
-        assert second_moment([iv((0, 0), 1)]) == 0
+        assert second_moment(iv(((0, 0), 1))) == 0
 
     def test_distance_scaled_weight_bound(self):
         rng = random.Random(555)
@@ -255,14 +304,14 @@ class TestMoments:
 
 class TestSimulateWalk:
     def test_zero_increment_walk_always_visits(self):
-        incs = [iv((0, 0), 1)]
+        incs = iv(((0, 0), 1))
         res = simulate_walk(incs, 500, random.Random(1))
         assert res.orthant_visits == 500
         assert res.last_visit == 500
         assert res.final_position == (0, 0)
 
     def test_negative_drift_walk_stops_visiting(self):
-        incs = [iv((-1,), 3, 4), iv((1,), 1, 4)]
+        incs = iv(((-1,), 3, 4), ((1,), 1, 4))
         res = simulate_walk(incs, 20_000, random.Random(7))
         assert res.orthant_visits < 1000
         assert res.last_visit is None or res.last_visit < 2000
@@ -294,19 +343,19 @@ class TestSimulateWalk:
         assert all(s.position == () for s in res.trace)
 
     def test_trace_every_below_one_rejected(self):
-        incs = [iv((1,), 1, 2), iv((-1,), 1, 2)]
+        incs = iv(((1,), 1, 2), ((-1,), 1, 2))
         for bad in (0, -1):
             with pytest.raises(ValueError, match="trace_every"):
                 simulate_walk(incs, 10, random.Random(0), trace_every=bad)
 
     def test_trace_thinning(self):
-        incs = [iv((1,), 1, 2), iv((-1,), 1, 2)]
+        incs = iv(((1,), 1, 2), ((-1,), 1, 2))
         res = simulate_walk(incs, 1000, random.Random(3), trace_every=100)
         assert len(res.trace) == 11  # step 0 plus every 100th
         assert res.trace[0].step == 0 and res.trace[-1].step == 1000
 
     def test_deterministic(self):
-        incs = [iv((1,), 1, 2), iv((-1,), 1, 2)]
+        incs = iv(((1,), 1, 2), ((-1,), 1, 2))
         a = simulate_walk(incs, 5000, random.Random(11))
         b = simulate_walk(incs, 5000, random.Random(11))
         assert a == b
@@ -359,10 +408,10 @@ def test_walk_reaches_field_width_bound(dim, magnitude):
     steps = 2 * _BLOCK + 1
     for signs in ([1] * dim, [-1] * dim, [(-1) ** i for i in range(dim)]):
         coords = [x * magnitude for x in signs]
-        expected = assert_matches_reference([iv(coords, 1)], steps, dim, trace_every=_BLOCK)
+        expected = assert_matches_reference(iv((coords, 1)), steps, dim, trace_every=_BLOCK)
         assert expected.final_position == tuple(steps * x for x in coords)
         # a second, shorter increment keeps the drift one-sided
-        incs = [iv(coords, 1, 2), iv([x // 2 for x in coords], 1, 2)]
+        incs = iv((coords, 1, 2), ([x // 2 for x in coords], 1, 2))
         assert_matches_reference(incs, steps, dim + 1, trace_every=7)
 
 
@@ -374,7 +423,7 @@ def test_walk_negative_drift_skips_blocks(dim):
     # one seed draws the same steps in every dimension, and its walk
     # returns to the orthant a few times before it drifts away
     steps = 20 * _BLOCK
-    incs = [iv([1] * (dim - 1) + [1], 2, 5), iv([2] * (dim - 1) + [-1], 3, 5)]
+    incs = iv(([1] * (dim - 1) + [1], 2, 5), ([2] * (dim - 1) + [-1], 3, 5))
     expected = assert_matches_reference(incs, steps, 8, trace_every=1)
     lasts = [state.position[-1] for state in expected.trace[1:]]
     tops = [max(lasts[i:i + _BLOCK]) for i in range(0, steps, _BLOCK)]
@@ -390,45 +439,48 @@ def test_walk_denominators(dim, denom):
     # (denominators 1 and 2) gives an increment that is never drawn
     rng = random.Random(denom + dim)
     weights = [1, denom // 2, denom - 1 - denom // 2]
-    incs = [iv([rng.randint(-4, 4) for _ in range(dim)], w, denom) for w in weights]
+    incs = iv(*[([rng.randint(-4, 4) for _ in range(dim)], w, denom) for w in weights])
     assert_matches_reference(incs, 2 * _BLOCK + 1, denom, trace_every=100)
 
 
 def test_walk_ignores_zero_probability_increments():
-    # more increments than a byte can index, all but two never drawn
-    incs = [iv((x, -x), 0) for x in range(300)] + [iv((1, 2), 1, 3), iv((-2, -1), 2, 3)]
+    # more increments than a byte can index, all but two never drawn: the
+    # law drops them, so the byte draw still serves the other two
+    incs = iv(*[((x, -x), 0) for x in range(300)], ((1, 2), 1, 3), ((-2, -1), 2, 3))
+    assert incs.support() == ((-2, -1), (1, 2))
     assert_matches_reference(incs, 3000, 5, trace_every=1000)
 
 
 def test_walk_rejects_negative_probability():
-    incs = [iv((1,), 3, 2), iv((-1,), -1, 2)]
-    with pytest.raises(ValueError, match="nonnegative"):
-        simulate_walk(incs, 10, random.Random(0))
+    with pytest.raises(ValueError, match="negative weight"):
+        iv(((1,), 3, 2), ((-1,), -1, 2))
 
 
 @pytest.mark.parametrize("coords", [[(1,), (-1, 5)], [(1, 2), (-1,)], [(), (1,)]])
 def test_walk_rejects_vectors_of_different_lengths(coords):
     # a longer vector lost its extra coordinates, a shorter one read as
     # padded with zeros
-    incs = [iv(c, 1, 2) for c in coords]
+    incs = iv(*[(c, 1, 2) for c in coords])
     with pytest.raises(ValueError, match="same length"):
         simulate_walk(incs, 10, random.Random(0))
 
 
-@pytest.mark.parametrize("coords", [[(1,), (-1, 5)], [(-1, 5), (1,)]])
+# the law's support is sorted, so the longer vector comes first in one
+# case and the shorter in the other
+@pytest.mark.parametrize("coords", [[(1,), (-1, 5)], [(-1,), (1, 5)]])
 @pytest.mark.parametrize(
     "statistic",
     [
         first_moment,
         genuine_dimension,
-        lambda incs: has_positive_lattice_vector([x.coords for x in incs]),
+        lambda incs: has_positive_lattice_vector(list(incs.support())),
     ],
     ids=["first_moment", "genuine_dimension", "has_positive_lattice_vector"],
 )
 def test_statistics_reject_vectors_of_different_lengths(statistic, coords):
     # a dimension read off one vector would drop the 5 or index past the
     # shorter vector
-    incs = [iv(c, 1, 2) for c in coords]
+    incs = iv(*[(c, 1, 2) for c in coords])
     with pytest.raises(ValueError, match="same length"):
         statistic(incs)
 
