@@ -11,7 +11,9 @@ function, so its visits to the nonnegative orthant decide how often the base
 vertex appears in the sample mean-set.  This module computes the increment
 distribution, its exact moments, the rank of the lattice the increments
 generate ("genuine dimension"), positivity conditions sufficient for
-orthant recurrence, and a descriptive simulation of the walk.
+orthant recurrence, and a descriptive simulation of the walk.  The rank and
+the exact decision whether the lattice holds a strictly positive vector
+share one fraction-free integer pivot routine.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product, repeat
+from itertools import accumulate, repeat
+from math import gcd
 from operator import and_, itemgetter, lshift
 
 from .errors import NotMeanSetError
@@ -28,8 +31,6 @@ from .measures import AtomicMeasure, _atom_sampler
 from .meanset import _atom_distance, measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
-_LATTICE_SEARCH_BUDGET = 300_000  # combinations has_positive_lattice_vector tries
-_COEFF_BOUND = 5  # has_positive_lattice_vector's coefficients lie in [-5, 5]
 
 
 @dataclass(frozen=True)
@@ -51,12 +52,10 @@ class WalkResult:
 class PositivityReport:
     """Sufficient-condition check for orthant recurrence of the walk.
 
-    has_positive_vector is True/False when the bounded lattice search is
-    conclusive and None when it is not (the unrestricted membership problem
-    is out of scope).
+    has_positive_vector is the exact answer of has_positive_lattice_vector.
     """
 
-    has_positive_vector: bool | None
+    has_positive_vector: bool
     mu_base_positive: bool
 
 
@@ -116,44 +115,39 @@ def second_moment(incs: AtomicMeasure) -> Fraction:
 
 
 def genuine_dimension(incs: AtomicMeasure) -> int:
-    """Rank of the integer lattice generated by the increment vectors."""
-    rows = list(map(list, incs.support()))
-    _dimension(rows)  # the basis reads the number of columns off one row
-    return len(_lattice_basis(rows))
+    """Rank of the integer lattice generated by the increment vectors: the
+    rational rank of the vectors, the number of pivots of Gauss-Jordan
+    elimination."""
+    return len(_independent_rows(list(incs.support())))
 
 
-def _lattice_basis(rows: list[list[int]]) -> list[list[int]]:
-    """Basis of the lattice generated by the rows, via unimodular row ops
-    (Euclidean reduction column by column, so the lattice is preserved)."""
-    rows = [r[:] for r in rows if any(r)]
-    if not rows:
-        return []
-    cols = len(rows[0])
-    basis: list[list[int]] = []
-    work = rows
-    for col in range(cols):
-        live = [r for r in work if r[col]]
-        rest = [r for r in work if not r[col]]
-        if not live:
-            work = rest
-            continue
-        while len(live) > 1:
-            live.sort(key=lambda r: abs(r[col]))
-            head = live[0]
-            reduced = [head]
-            for r in live[1:]:
-                q = r[col] // head[col]
-                newr = [a - q * b for a, b in zip(r, head)]
-                (reduced if newr[col] else rest).append(newr)
-            live = reduced
-            if len(live) == 1:
-                break
-        pivot_row = live[0]
-        if pivot_row[col] < 0:
-            pivot_row = [-a for a in pivot_row]
-        basis.append(pivot_row)
-        work = rest
-    return basis
+def _pivot(rows: list[list[int]], r: int, c: int) -> None:
+    """Clear column c from every row but rows[r], in place and without
+    fractions: a row with an entry there becomes row * p - row[c] * rows[r]
+    for the pivot p = rows[r][c], divided by the gcd of its entries.  Rows
+    stay int, and a positive p keeps the sign of every row."""
+    head = rows[r]
+    p = head[c]
+    for i, row in enumerate(rows):
+        f = row[c]
+        if f and i != r:
+            row = [a * p - f * b for a, b in zip(row, head)]
+            g = gcd(*row)
+            rows[i] = [x // g for x in row] if g > 1 else row
+
+
+def _independent_rows(vectors) -> list[list[int]]:
+    """Gauss-Jordan elimination by _pivot: one row per pivot, spanning the
+    same rational space as the vectors."""
+    rows = [list(v) for v in vectors if any(v)]
+    rank = 0
+    for c in range(_dimension(vectors)):
+        r = next((i for i in range(rank, len(rows)) if rows[i][c]), None)
+        if r is not None:
+            rows[rank], rows[r] = rows[r], rows[rank]
+            _pivot(rows, rank, c)
+            rank += 1
+    return rows[:rank]
 
 
 def dimension_invariance_check(g: Graph, mu: AtomicMeasure, meanset) -> bool:
@@ -168,55 +162,55 @@ def dimension_invariance_check(g: Graph, mu: AtomicMeasure, meanset) -> bool:
     return len(dims) == 1
 
 
-def has_positive_lattice_vector(vectors: list[tuple]) -> bool | None:
-    """Bounded search for a strictly positive vector in the generated lattice.
+def has_positive_lattice_vector(vectors: list[tuple]) -> bool:
+    """Whether the lattice the vectors generate holds a strictly positive
+    vector, decided exactly.
 
-    Reduces the generators to a basis first, then enumerates integer
-    combinations of basis rows with coefficients in [-_COEFF_BOUND,
-    _COEFF_BOUND] ([-5, 5]), stopping after _LATTICE_SEARCH_BUDGET
-    (300,000) candidates.  Returns True on a witness, False when no
-    lattice vector can be positive (the lattice is trivial or some
-    coordinate vanishes on all of it), None when the bounded search is
-    inconclusive.
+    A rational vector scaled by a common denominator stays in the lattice,
+    so the answer is whether the vectors' rational span meets the open
+    orthant: yes in dimension 0, for a strictly positive vector and for a
+    span of full rank.  Otherwise, by Gordan's alternative, yes iff no
+    y >= 0 with sum(y) = 1 is orthogonal to the span.  Phase 1 of the
+    simplex method decides that: one artificial variable per row of the
+    system, _pivot steps, and Bland's rule, so it terminates; the answer is
+    yes iff the artificial variables cannot all reach 0.
     """
     if not vectors:
-        return None
+        raise ValueError("need at least one increment vector")
     dim = _dimension(vectors)
-    if dim == 0:
-        # zero-dimensional walk: the positivity condition is vacuous
+    if dim == 0 or any(all(x > 0 for x in vec) for vec in vectors):
         return True
-    for vec in vectors:
-        if all(x > 0 for x in vec):
-            return True
-    basis = _lattice_basis([list(v) for v in vectors])
-    if not basis:
-        return False  # lattice is trivial
-    for j in range(dim):
-        if all(row[j] == 0 for row in basis):
-            return False
-    coeff_range = range(-_COEFF_BOUND, _COEFF_BOUND + 1)
-    tried = 0
-    for coeffs in product(coeff_range, repeat=len(basis)):
-        tried += 1
-        if tried > _LATTICE_SEARCH_BUDGET:
-            return None
-        point = [0] * dim
-        for k, row in zip(coeffs, basis):
-            if k:
-                for j in range(dim):
-                    point[j] += k * row[j]
-        if all(x > 0 for x in point):
-            return True
-    return None
+    basis = _independent_rows(vectors)
+    if len(basis) == dim:
+        return True
+    rows = [*basis, [1] * dim]
+    m = len(rows)
+    # row 0 gives w, the artificial variables' sum, as rhs - row . z up to a
+    # positive factor: a positive entry is a variable whose rise lowers w
+    tableau = [[*map(sum, zip(*rows)), *[0] * m, 1]]
+    tableau += [[*row, *(int(i == k) for k in range(m)), int(i == m - 1)]
+                for i, row in enumerate(rows)]
+    basic = [None, *range(dim, dim + m)]  # the basic variable of each row
+    while True:
+        objective = tableau[0]
+        c = next((j for j in range(dim + m) if objective[j] > 0), None)
+        if c is None:
+            return objective[-1] != 0
+        r = min(
+            (i for i in range(1, m + 1) if tableau[i][c] > 0),
+            key=lambda i: (Fraction(tableau[i][-1], tableau[i][c]), basic[i]),
+        )
+        _pivot(tableau, r, c)
+        basic[r] = c
 
 
 def positivity_hypotheses(incs: AtomicMeasure, mu: AtomicMeasure, base) -> PositivityReport:
     """Check the sufficient conditions for orthant recurrence of the walk
     whose increment law `increments` gave as incs for this base.
 
-    When mu(base) > 0 the increment of the base atom itself is the witness
-    vector (all squared distances to the other mean-set vertices), so the
-    search is immediate.
+    When mu(base) > 0 the increment of the base atom itself is a strictly
+    positive vector (all squared distances to the other mean-set vertices),
+    so the lattice decision is immediate.
     """
     return PositivityReport(
         has_positive_vector=has_positive_lattice_vector(list(incs.support())),

@@ -273,8 +273,47 @@ class TestWalkCommand:
         assert payload["dimension"] == 0
         assert payload["orthant_visits"] == 100
 
+    @pytest.mark.parametrize(
+        "edges, masses, payload",
+        [
+            # the centers 1 and 3 of the 4-cycle are equidistant from both
+            # atoms: every increment is 0, and a zero lattice has no
+            # strictly positive vector
+            (
+                "0 1\n1 2\n2 3\n3 0\n",
+                "0 1\n2 1\n",
+                '{"base": 1, "dimension": 0, "first_moment": ["0/1"], '
+                '"hypotheses": {"has_positive_vector": false, "mu_base_positive": false}, '
+                '"last_visit": 2000, "mean_set": [1, 3], "orthant_visits": 2000, '
+                '"second_moment": "0/1", "steps": 2000}',
+            ),
+            # the path's ends: the base carries no mass, and the increment
+            # 3 of atom 0 is itself strictly positive
+            (
+                "0 1\n1 2\n2 3\n",
+                "0 1\n3 1\n",
+                '{"base": 1, "dimension": 1, "first_moment": ["0/1"], '
+                '"hypotheses": {"has_positive_vector": true, "mu_base_positive": false}, '
+                '"last_visit": 2000, "mean_set": [1, 2], "orthant_visits": 1641, '
+                '"second_moment": "9/1", "steps": 2000}',
+            ),
+        ],
+        ids=["cycle4", "path4"],
+    )
+    def test_payload_pinned(self, capsys, tmp_path, edges, masses, payload):
+        graph = tmp_path / "graph.txt"
+        graph.write_text(edges)
+        measure = tmp_path / "mu.txt"
+        measure.write_text(masses)
+        code, out, _ = run_cli(
+            capsys, "walk", "--graph", str(graph), "--measure", str(measure),
+            "--steps", "2000", "--seed", "5",
+        )
+        assert code == 0
+        assert out == payload + "\n"
+
     def test_report_builds_the_increment_law_once(self, capsys, monkeypatch, tmp_path):
-        # mass on the path ends only, so the lattice search runs too
+        # mass on the path ends only, so the lattice decision runs too
         from meansets import cli, multivertex
 
         graph = tmp_path / "path.txt"

@@ -2,7 +2,7 @@ import random
 from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
-from itertools import accumulate
+from itertools import accumulate, product
 from math import lcm
 
 import pytest
@@ -50,6 +50,48 @@ def rational_rank(rows: list[list[int]]) -> int:
                 rows[i] = [a - factor * b for a, b in zip(rows[i], head)]
         rank += 1
     return rank
+
+
+def lattice_basis(rows: list[list[int]]) -> list[list[int]]:
+    """Basis of the lattice generated by the rows, via unimodular row ops
+    (Euclidean reduction column by column, so the lattice is preserved)."""
+    work = [r[:] for r in rows if any(r)]
+    basis = []
+    for col in range(len(work[0]) if work else 0):
+        live = [r for r in work if r[col]]
+        rest = [r for r in work if not r[col]]
+        while len(live) > 1:
+            live.sort(key=lambda r: abs(r[col]))
+            head = live[0]
+            reduced = [head]
+            for r in live[1:]:
+                q = r[col] // head[col]
+                newr = [a - q * b for a, b in zip(r, head)]
+                (reduced if newr[col] else rest).append(newr)
+            live = reduced
+        if live:
+            basis.append(live[0])
+        work = rest
+    return basis
+
+
+def bounded_lattice_search(vectors):
+    """Reference: a search for a strictly positive vector over integer
+    combinations of a lattice basis with coefficients in [-5, 5], at most
+    300,000 of them.  True on a witness; False when the lattice is trivial
+    or some coordinate vanishes on all of it; None when the search is
+    inconclusive."""
+    dim = len(vectors[0])
+    if dim == 0 or any(all(x > 0 for x in vec) for vec in vectors):
+        return True
+    basis = lattice_basis([list(v) for v in vectors])
+    if not basis or any(all(row[j] == 0 for row in basis) for j in range(dim)):
+        return False
+    coeffs = product(range(-5, 6), repeat=len(basis))
+    for _, ks in zip(range(300_000), coeffs):
+        if all(sum(k * row[j] for k, row in zip(ks, basis)) > 0 for j in range(dim)):
+            return True
+    return None
 
 
 def reference_walk(law, steps, rng, trace_every=100):
@@ -266,13 +308,73 @@ class TestPositivity:
     def test_trivial_lattice_is_definitively_negative(self):
         assert has_positive_lattice_vector([(0, 0)]) is False
 
-    def test_inconclusive_search_returns_none(self):
-        # the lattice Z*(2,-1) never has an all-positive vector, but the
-        # bounded search cannot prove that
-        assert has_positive_lattice_vector([(2, -1), (-2, 1)]) is None
+    def test_line_missing_the_orthant_is_negative(self):
+        # the lattice Z*(2,-1) never has an all-positive vector; a bounded
+        # search over combinations could not prove that
+        assert has_positive_lattice_vector([(2, -1), (-2, 1)]) is False
+
+    def test_full_rank_is_positive_beyond_small_coefficients(self):
+        # (1, -100) + 101 * (0, 1) = (1, 1); coefficients in [-5, 5] miss it
+        assert has_positive_lattice_vector([(1, -100), (0, 1)]) is True
+        assert bounded_lattice_search([(1, -100), (0, 1)]) is None
+
+    @pytest.mark.parametrize("dim", range(2, 8))
+    def test_sum_zero_hyperplane_is_negative(self, dim):
+        # e_i - e_(i+1) span the vectors whose coordinates sum to 0, and
+        # no such vector is strictly positive
+        vectors = [tuple(int(j == i) - int(j == i + 1) for j in range(dim)) for i in range(dim - 1)]
+        assert has_positive_lattice_vector(vectors) is False
 
     def test_dimension_zero_is_vacuous(self):
         assert has_positive_lattice_vector([()]) is True
+
+    def test_no_vectors_rejected(self):
+        with pytest.raises(ValueError, match="at least one"):
+            has_positive_lattice_vector([])
+
+    def test_planted_orthogonal_vector_is_negative(self):
+        # every generator is orthogonal to some y >= 0, y != 0, so every
+        # lattice vector v has v . y = 0 and none is strictly positive
+        rng = random.Random(2101)
+        for _ in range(300):
+            dim = rng.randint(1, 7)
+            y = [rng.choice([0, 0, 1, 2, 3]) for _ in range(dim)]
+            y[rng.randrange(dim)] = rng.randint(1, 3)
+            yy = sum(a * a for a in y)
+            vectors = []
+            for _ in range(rng.randint(1, 7)):
+                v = [rng.randint(-6, 6) for _ in range(dim)]
+                vy = sum(a * b for a, b in zip(v, y))
+                vectors.append(tuple(yy * a - vy * b for a, b in zip(v, y)))
+            assert has_positive_lattice_vector(vectors) is False
+
+    def test_planted_positive_combination_is_positive(self):
+        # the last generator is chosen so that an integer combination of
+        # all of them is a strictly positive target
+        rng = random.Random(2102)
+        for _ in range(300):
+            dim = rng.randint(1, 7)
+            gens = [[rng.randint(-6, 6) for _ in range(dim)] for _ in range(rng.randint(0, 6))]
+            ks = [rng.randint(-4, 4) for _ in gens]
+            target = [rng.randint(1, 5) for _ in range(dim)]
+            last = [t - sum(k * g[j] for k, g in zip(ks, gens)) for j, t in enumerate(target)]
+            vectors = [tuple(v) for v in gens + [last]]
+            rng.shuffle(vectors)
+            assert has_positive_lattice_vector(vectors) is True
+
+    def test_matches_bounded_search_where_it_is_conclusive(self):
+        rng = random.Random(2103)
+        conclusive = 0
+        for _ in range(400):
+            dim = rng.randint(1, 5)
+            vectors = [tuple(rng.randint(-4, 4) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+            expected = bounded_lattice_search(vectors)
+            got = has_positive_lattice_vector(vectors)
+            assert type(got) is bool
+            if expected is not None:
+                assert got is expected
+                conclusive += 1
+        assert conclusive > 250
 
 
 class TestMoments:
