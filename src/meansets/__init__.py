@@ -23,14 +23,7 @@ from .errors import (
 )
 from .freegroup import (
     CayleyGraph,
-    ReducedWord,
-    cayley_neighbors,
-    fg_distance,
-    identity,
-    generator,
-    multiply,
     sample_sphere,
-    sphere_size,
     word_from_str,
     word_to_str,
 )

@@ -109,7 +109,7 @@ def _load_instance(args):
         # a word above rank 26 is several g/G tokens: every field but the mass
         mu = load_measure(
             args.measure,
-            vertex_parser=lambda tok: word_to_str(word_from_str(tok, rank)),
+            vertex_parser=lambda tok: word_to_str(word_from_str(tok, rank), rank),
             multi_token=True,
         )
     return g, mu

@@ -14,7 +14,7 @@ class InfiniteGraphError(MeansetsError):
 
 
 class RankMismatchError(MeansetsError):
-    """Two free-group words (or a word and a measure) have different ranks."""
+    """A measure's atom is not an element of the free group it is shifted in."""
 
 
 class VertexIdError(MeansetsError):

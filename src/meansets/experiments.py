@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import NonSingletonTruthError, VertexIdError
-from .freegroup import CayleyGraph, multiply, sample_sphere, word_from_str, word_to_str
+from .freegroup import CayleyGraph, sample_sphere, word_to_str
 from .graphs import Graph
 from .measures import AtomicMeasure, draw, shift
 from .meanset import (
@@ -289,11 +289,11 @@ class SweepReport:
         return "\n".join(lines) + "\n"
 
 
-def _shift_faulty(mu: AtomicMeasure, g) -> AtomicMeasure:
-    # negative control: translate by raw string concatenation, skipping free
-    # reduction, so an atom that needed cancelling stays an unreduced id
-    gid = word_to_str(g)
-    gid = "" if not g.letters else gid
+def _shift_faulty(mu: AtomicMeasure, g: str) -> AtomicMeasure:
+    # negative control: translate rank-2 ids by raw string concatenation,
+    # skipping free reduction, so an atom that needed cancelling stays an
+    # unreduced id
+    gid = "" if g == "e" else g
     moved = {}
     for v, w in mu.items():
         body = "" if v == "e" else v
@@ -304,17 +304,14 @@ def _shift_faulty(mu: AtomicMeasure, g) -> AtomicMeasure:
 def _check_shift_property(rng: random.Random, inject_fault: bool = False) -> bool:
     graph = CayleyGraph(2)
     mu = randomgen.random_word_measure(rng, rank=2, max_atoms=4, max_len=4)
-    g = randomgen.random_word(rng, rank=2, max_len=3)
+    g = word_to_str(randomgen.random_word(rng, rank=2, max_len=3), 2)
     base = mean_set_tree(graph, mu, 2)
-    shifted_mu = _shift_faulty(mu, g) if inject_fault else shift(mu, g)
+    shifted_mu = _shift_faulty(mu, g) if inject_fault else shift(mu, g, graph)
     try:
         shifted = mean_set_tree(graph, shifted_mu, 2)
     except VertexIdError:
         return False  # a translated atom is not a reduced word
-    expected = frozenset(
-        word_to_str(multiply(g, word_from_str(v, 2))) for v in base.vertices
-    )
-    return shifted.vertices == expected
+    return shifted.vertices == frozenset(graph.multiply(g, v) for v in base.vertices)
 
 
 def _check_tree_configuration(rng: random.Random) -> bool:

@@ -1,22 +1,22 @@
 """Free groups of finite rank as implicit Cayley graphs.
 
-Elements are freely reduced words over r generators, stored as tuples of
-signed 1-based indices (i for a generator, -i for its inverse).  The word
-metric on the Cayley graph is computed algebraically: the product a^-1 b
-cancels exactly the longest common prefix of a and b, so
+An element of the free group on r generators is a vertex id of its Cayley
+graph: its freely reduced word, spelled as a string.  Generator i is
+chr('a'+i-1), its inverse the uppercase form (rank <= 26); higher ranks use
+space-separated "g3"/"G7" tokens.  The empty word is spelled "e" up to rank
+4; from rank 5 on the letter e names generator 5, so the empty word is
+spelled "1" there.  `word_to_str` and `word_from_str` convert between ids
+and tuples of signed 1-based generator indices (i for a generator, -i for
+its inverse); `sample_sphere` draws ids directly.
+
+`CayleyGraph` reads every id it is given through `path_key`, which gives
+both spellings one form: the sequence of letters or tokens whose prefixes
+spell the geodesic from the identity.  The group law works on these keys:
+the product ab cancels the longest common prefix of a^-1 and b, and the
+word metric d(a, b) = |a^-1 b| cancels the longest common prefix of a and
+b, so
 
     d(a, b) = |a| + |b| - 2 * lcp(a, b).
-
-Words serialize to strings: generator i is chr('a'+i-1), its inverse the
-uppercase form (rank <= 26); higher ranks use space-separated "g3"/"G7"
-tokens.  The empty word is spelled "e" up to rank 4; from rank 5 on the
-letter e names generator 5, so the empty word is spelled "1" there.  The
-serialized string doubles as the vertex id of the Cayley graph, so the
-graph layer can order and hash vertices without knowing about words, and
-`sample_sphere` draws ids directly.  The graph reads every id it is given
-through `CayleyGraph.path_key`, which gives both spellings one form: the
-sequence of letters or tokens whose prefixes spell the geodesic from the
-identity.
 """
 
 from __future__ import annotations
@@ -24,83 +24,9 @@ from __future__ import annotations
 import functools
 import random
 import re
-from dataclasses import dataclass
 
-from .errors import RankMismatchError, VertexIdError
+from .errors import VertexIdError
 from .graphs import ImplicitGraph
-
-
-@dataclass(frozen=True, slots=True)
-class ReducedWord:
-    """A freely reduced word; immutable.  `letters` may be given as any
-    iterable and is stored as a tuple."""
-
-    rank: int
-    letters: tuple = ()
-
-    def __post_init__(self):
-        if self.rank < 1:
-            raise ValueError("rank must be >= 1")
-        letters = tuple(self.letters)
-        for x in letters:
-            if x == 0 or abs(x) > self.rank:
-                raise ValueError(f"letter {x} out of range for rank {self.rank}")
-        for a, b in zip(letters, letters[1:]):
-            if a == -b:
-                raise ValueError("word is not freely reduced")
-        object.__setattr__(self, "letters", letters)
-
-    def __len__(self) -> int:
-        return len(self.letters)
-
-    def __repr__(self) -> str:
-        return f"ReducedWord(rank={self.rank}, {word_to_str(self)!r})"
-
-    def inverse(self) -> "ReducedWord":
-        return ReducedWord(self.rank, tuple(-x for x in reversed(self.letters)))
-
-
-def identity(rank: int) -> ReducedWord:
-    return ReducedWord(rank)
-
-
-def generator(rank: int, i: int) -> ReducedWord:
-    """The i-th generator (1-based); negative i gives the inverse."""
-    return ReducedWord(rank, (i,))
-
-
-def _check_ranks(a: ReducedWord, b: ReducedWord) -> None:
-    if a.rank != b.rank:
-        raise RankMismatchError(f"rank {a.rank} vs {b.rank}")
-
-
-def multiply(a: ReducedWord, b: ReducedWord) -> ReducedWord:
-    """Freely reduced product ab."""
-    _check_ranks(a, b)
-    out = list(a.letters)
-    for x in b.letters:
-        if out and out[-1] == -x:
-            out.pop()
-        else:
-            out.append(x)
-    return ReducedWord(a.rank, out)
-
-
-def fg_distance(a: ReducedWord, b: ReducedWord) -> int:
-    """Word-metric distance, i.e. the length of a^-1 b."""
-    _check_ranks(a, b)
-    return len(a) + len(b) - 2 * _str_lcp(a.letters, b.letters)
-
-
-def sphere_size(rank: int, length: int) -> int:
-    """Number of reduced words of exactly the given length."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    if length < 0:
-        raise ValueError("length must be >= 0")
-    if length == 0:
-        return 1
-    return 2 * rank * (2 * rank - 1) ** (length - 1)
 
 
 @functools.cache
@@ -108,7 +34,7 @@ def _successors(rank: int) -> dict[str, tuple]:
     """Id letter (a letter, or a g/G token above rank 26) -> the letters that
     may follow it in a reduced word, in the order x^-r..x^-1, x1..xr; the key
     "" (no letter yet) maps to all 2r letters."""
-    letters = tuple(word_to_str(generator(rank, x)) for x in range(-rank, rank + 1) if x)
+    letters = tuple(word_to_str((x,), rank) for x in range(-rank, rank + 1) if x)
     table = {"": letters}
     # letters[i] and letters[-1 - i] are inverses
     for x, inverse in zip(letters, reversed(letters)):
@@ -141,57 +67,54 @@ def sample_sphere(rank: int, length: int, rng: random.Random) -> str:
     return ("" if rank <= 26 else " ").join(out)
 
 
-def cayley_neighbors(w: ReducedWord) -> list[ReducedWord]:
-    """The 2r words at distance one: right multiplication by each generator
-    and inverse, one of which shortens w when w is nonempty."""
-    out = []
-    last = w.letters[-1] if w.letters else 0
-    for i in range(1, w.rank + 1):
-        for x in (i, -i):
-            if last == -x:
-                out.append(ReducedWord(w.rank, w.letters[:-1]))
-            else:
-                out.append(ReducedWord(w.rank, w.letters + (x,)))
-    return out
-
-
 # -- serialization ----------------------------------------------------------
 
 def empty_spelling(rank: int) -> str:
     return "e" if rank <= 4 else "1"
 
 
-def word_to_str(w: ReducedWord) -> str:
-    if not w.letters:
-        return empty_spelling(w.rank)
-    if w.rank <= 26:
-        return "".join(
-            chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) for x in w.letters
-        )
-    return " ".join(f"g{x}" if x > 0 else f"G{-x}" for x in w.letters)
+def word_to_str(letters: tuple, rank: int) -> str:
+    """The id of the reduced word with the given signed generator indices."""
+    if not letters:
+        return empty_spelling(rank)
+    if rank <= 26:
+        return "".join(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) for x in letters)
+    return " ".join(f"g{x}" if x > 0 else f"G{-x}" for x in letters)
 
 
-def word_from_str(text: str, rank: int) -> ReducedWord:
+def word_from_str(text: str, rank: int) -> tuple:
+    """The signed generator indices of a spelled word.  Reads the ids
+    word_to_str gives and looser spellings of them: surrounding space, ""
+    and "1" for the identity at every rank, g/G tokens at rank <= 26.
+    ValueError if the text is malformed, a letter is out of the rank or the
+    word is not freely reduced."""
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
     text = text.strip()
     if text == "" or text == "1" or (text == "e" and rank <= 4):
-        return ReducedWord(rank)
+        return ()
+    letters = []
     if rank > 26 or " " in text or (text[0] in "gG" and text[1:].isdigit()):
-        letters = []
         for tok in text.split():
             if len(tok) < 2 or tok[0] not in "gG" or not tok[1:].isdigit():
                 raise ValueError(f"bad word token {tok!r}")
             i = int(tok[1:])
             letters.append(i if tok[0] == "g" else -i)
-        return ReducedWord(rank, letters)
-    letters = []
-    for ch in text:
-        if "a" <= ch <= "z":
-            letters.append(ord(ch) - ord("a") + 1)
-        elif "A" <= ch <= "Z":
-            letters.append(-(ord(ch) - ord("A") + 1))
-        else:
-            raise ValueError(f"bad word character {ch!r} in {text!r}")
-    return ReducedWord(rank, letters)
+    else:
+        for ch in text:
+            if "a" <= ch <= "z":
+                letters.append(ord(ch) - ord("a") + 1)
+            elif "A" <= ch <= "Z":
+                letters.append(-(ord(ch) - ord("A") + 1))
+            else:
+                raise ValueError(f"bad word character {ch!r} in {text!r}")
+    for x in letters:
+        if x == 0 or abs(x) > rank:
+            raise ValueError(f"letter {x} out of range for rank {rank}")
+    for a, b in zip(letters, letters[1:]):
+        if a == -b:
+            raise ValueError("word is not freely reduced")
+    return tuple(letters)
 
 
 # -- Cayley graph over serialized ids ---------------------------------------
@@ -248,9 +171,9 @@ class CayleyGraph(ImplicitGraph):
         self.rank = rank
         self.empty_id = empty_spelling(rank)
         self._id_match = _id_pattern(rank).fullmatch
-        # key element -> its inverse, in cayley_neighbors order (x1, x1^-1, x2, ...)
+        # key element -> its inverse, in neighbour order (x1, x1^-1, x2, ...)
         self._inverse = {
-            word_to_str(generator(rank, x)): word_to_str(generator(rank, -x))
+            word_to_str((x,), rank): word_to_str((-x,), rank)
             for i in range(1, rank + 1)
             for x in (i, -i)
         }
@@ -258,8 +181,9 @@ class CayleyGraph(ImplicitGraph):
         super().__init__(None, is_tree=True)
 
     def neighbors(self, v: str) -> tuple:
-        """v times each generator and inverse, in cayley_neighbors order: the
-        letter that cancels v's last letter or token gives v's parent."""
+        """v times each generator and inverse, in the order x1, x1^-1, x2,
+        x2^-1, ...: the letter that cancels v's last letter or token gives
+        v's parent."""
         key = self.path_key(v)
         if not key:
             return tuple(self._inverse)
@@ -269,6 +193,15 @@ class CayleyGraph(ImplicitGraph):
     def distance(self, a: str, b: str) -> int:
         ka, kb = self.path_key(a), self.path_key(b)
         return len(ka) + len(kb) - 2 * _str_lcp(ka, kb)
+
+    def multiply(self, a: str, b: str) -> str:
+        """The id of the product ab: a's key less the letters that cancel
+        against the start of b's key, then the rest of b's key."""
+        ka, kb = self.path_key(a), self.path_key(b)
+        k, n, inverse = 0, min(len(ka), len(kb)), self._inverse
+        while k < n and kb[k] == inverse[ka[-1 - k]]:
+            k += 1
+        return self.key_id(ka[: len(ka) - k] + kb[k:])
 
     def path_key(self, v: str):
         """Sort key of v that spells its geodesic from the identity: v itself

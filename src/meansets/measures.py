@@ -17,7 +17,7 @@ from itertools import accumulate, pairwise, repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import MeasureFormatError, RankMismatchError
+from .errors import MeasureFormatError, RankMismatchError, VertexIdError
 
 _CHUNK = 1 << 16  # draws per sampler call in `draw`, which bounds its memory
 
@@ -211,22 +211,20 @@ def empirical(counts: Mapping) -> AtomicMeasure:
     return AtomicMeasure.from_masses(counts)
 
 
-def shift(mu: AtomicMeasure, g) -> AtomicMeasure:
-    """Left-translate every atom by the word g; weights are unchanged.
+def shift(mu: AtomicMeasure, g: str, graph) -> AtomicMeasure:
+    """Left-translate every atom by g, a vertex id of the free-group Cayley
+    graph `graph`; weights are unchanged.
 
-    Atoms must be vertex ids (serialized words) of g's rank.
+    Raises VertexIdError if g is not a vertex of the graph, and
+    RankMismatchError if an atom is not.
     """
-    from . import freegroup
-
+    graph.path_key(g)  # VertexIdError if g is not a vertex
     translated: dict = {}
     for v, w in mu.items():
-        if not isinstance(v, str):
-            raise RankMismatchError(f"atom {v!r} is not a free-group vertex")
         try:
-            word = freegroup.word_from_str(v, g.rank)
-        except ValueError as exc:
-            raise RankMismatchError(f"atom {v!r} is not a rank-{g.rank} word") from exc
-        translated[freegroup.word_to_str(freegroup.multiply(g, word))] = w
+            translated[graph.multiply(g, v)] = w
+        except VertexIdError as exc:
+            raise RankMismatchError(f"atom {v!r} is not a rank-{graph.rank} word") from exc
     return AtomicMeasure(translated)
 
 

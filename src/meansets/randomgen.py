@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import random
 
-from .freegroup import ReducedWord, word_to_str
+from .freegroup import word_to_str
 from .graphs import ExplicitGraph, complete_graph, cycle_graph, path_graph
 from .measures import AtomicMeasure
 
@@ -53,8 +53,9 @@ def random_measure(
     return AtomicMeasure.from_masses({v: rng.randint(1, max_mass) for v in chosen})
 
 
-def random_word(rng: random.Random, rank: int, max_len: int) -> ReducedWord:
-    """Word of random length <= max_len (no-backtracking letters)."""
+def random_word(rng: random.Random, rank: int, max_len: int) -> tuple:
+    """Signed generator indices of a reduced word of random length <=
+    max_len (no-backtracking letters)."""
     length = rng.randint(0, max_len)
     letters: list[int] = []
     choices = [x for i in range(1, rank + 1) for x in (i, -i)]
@@ -63,7 +64,7 @@ def random_word(rng: random.Random, rank: int, max_len: int) -> ReducedWord:
         while letters and letters[-1] == -x:
             x = rng.choice(choices)
         letters.append(x)
-    return ReducedWord(rank, letters)
+    return tuple(letters)
 
 
 def random_word_measure(
@@ -73,7 +74,7 @@ def random_word_measure(
     n_atoms = rng.randint(1, max_atoms)
     masses: dict[str, int] = {}
     for _ in range(n_atoms):
-        wid = word_to_str(random_word(rng, rank, max_len))
+        wid = word_to_str(random_word(rng, rank, max_len), rank)
         masses[wid] = masses.get(wid, 0) + rng.randint(1, 9)
     return AtomicMeasure.from_masses(masses)
 

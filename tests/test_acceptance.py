@@ -19,7 +19,7 @@ from meansets.experiments import (
     run_decay_experiment,
     run_table_experiment,
 )
-from meansets.freegroup import CayleyGraph, multiply, word_from_str, word_to_str
+from meansets.freegroup import CayleyGraph, word_to_str
 from meansets.graphs import path_graph
 from meansets.measures import AtomicMeasure, shift
 from meansets.meanset import (
@@ -215,12 +215,10 @@ def test_criterion_4_shift_property():
     bad = 0
     for _ in range(500):
         mu = random_word_measure(rng, 2, max_atoms=6, max_len=5)
-        g = random_word(rng, 2, 4)
+        g = word_to_str(random_word(rng, 2, 4), 2)
         base = mean_set_tree(graph, mu, 2)
-        moved = mean_set_tree(graph, shift(mu, g), 2)
-        expected = frozenset(
-            word_to_str(multiply(g, word_from_str(v, 2))) for v in base.vertices
-        )
+        moved = mean_set_tree(graph, shift(mu, g, graph), 2)
+        expected = frozenset(graph.multiply(g, v) for v in base.vertices)
         if moved.vertices != expected or moved.min_weight != base.min_weight:
             bad += 1
     _report("criterion 4: shift property on 500 pairs", bad == 0, f"{bad} failures")

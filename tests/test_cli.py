@@ -6,7 +6,7 @@ import pytest
 from meansets import experiments
 from meansets.cli import main
 from meansets.experiments import derive_seed
-from meansets.freegroup import CayleyGraph
+from meansets.freegroup import CayleyGraph, word_from_str, word_to_str
 from meansets.measures import AtomicMeasure
 from meansets.multivertex import simulate_walk
 
@@ -113,6 +113,37 @@ class TestMeansetCommand:
         assert payload["vertices"] == ["g1"]
         assert payload["min_weight"] == "1/1"
         assert payload["steps"] == 4
+
+    # (rank, spelling, its id, or None where the spelling names no word)
+    SPELLINGS = [
+        (4, "", "e"), (5, "", "1"), (4, "1", "e"), (5, "1", "1"), (4, "e", "e"),
+        (5, "e", "e"),  # generator 5 from rank 5 on
+        (2, "g1 G2", "aB"), (2, " ab ", "ab"), (27, " g1  g2 ", "g1 g2"),
+        (26, "g26", "z"), (26, "G26 g3", "Zc"), (27, "g26", "g26"), (27, "z", None),
+        (26, "g27", None), (27, "g28", None), (2, "aA", None), (27, "g3 G3", None),
+    ]
+
+    @pytest.mark.parametrize("rank, text, vid", SPELLINGS)
+    def test_measure_spellings(self, capsys, tmp_path, rank, text, vid):
+        # the one canonicaliser the measure reader applies to each vertex
+        if vid is None:
+            with pytest.raises(ValueError):
+                word_from_str(text, rank)
+        else:
+            assert word_to_str(word_from_str(text, rank), rank) == vid
+        if text.strip() != text or not text:
+            return  # a measure file's fields carry no surrounding space
+        measure = tmp_path / "mu.txt"
+        measure.write_text(f"{text} 1\n")
+        code, out, err = run_cli(
+            capsys, "meanset", "--free-rank", str(rank), "--measure", str(measure),
+        )
+        if vid is None:
+            assert (code, out) == (2, "")
+            assert err.startswith("error: ") and err.count("\n") == 1
+        else:
+            assert (code, err) == (0, "")
+            assert json.loads(out)["vertices"] == [vid]
 
     def test_graph_measure_three_fields(self, capsys, tmp_path, path_instance):
         graph, _ = path_instance
@@ -403,6 +434,19 @@ class TestCheckCommand:
         )
         assert code == 1
         assert "FAIL" in out
+
+    @pytest.mark.parametrize("fault, code, line", [
+        ([], 0, "pass  shift-property           cases=500 failures=0"),
+        (["--inject-fault"], 1, "FAIL  shift-property           cases=500 failures=138 "
+                                "first_failure_seed=18117466780563963268"),
+    ])
+    def test_shift_suite_output_pinned(self, capsys, fault, code, line):
+        # the seed-42 sweep of the shift property and of its faulty control
+        got = run_cli(
+            capsys, "check", "--suite", "shift-property", "--seed", "42", "--cases", "500", *fault
+        )
+        verdict = "ALL PASS" if code == 0 else "FAILURES PRESENT"
+        assert got == (code, f"invariant sweep, seed 42\n{line}\n{verdict}\n", "")
 
     def test_single_suite_selection(self, capsys):
         code, out, _ = run_cli(

@@ -12,15 +12,15 @@ from meansets.experiments import (
     table_to_csv,
     table_to_json,
 )
-from meansets.freegroup import CayleyGraph, word_to_str
+from meansets.freegroup import CayleyGraph
 from meansets.graphs import path_graph
 from meansets.measures import AtomicMeasure
 
-from freewords import sphere_words
+from freewords import sphere_words, word_id
 
 
 def sphere_measure(rank: int, length: int) -> AtomicMeasure:
-    words = [word_to_str(w) for w in sphere_words(rank, length)]
+    words = [word_id(w) for w in sphere_words(rank, length)]
     return AtomicMeasure.uniform(words)
 
 

@@ -5,26 +5,28 @@ from collections import Counter
 
 import pytest
 
-from meansets.errors import RankMismatchError, VertexIdError
-from meansets.freegroup import (
-    CayleyGraph,
+from meansets.errors import VertexIdError
+from meansets.freegroup import CayleyGraph, sample_sphere, word_from_str, word_to_str
+from meansets.randomgen import random_word
+
+from freewords import (
     ReducedWord,
+    ball_words,
     cayley_neighbors,
     fg_distance,
     identity,
-    generator,
     multiply,
-    sample_sphere,
+    parse_word,
+    reference_sphere_id,
     sphere_size,
-    word_from_str,
-    word_to_str,
+    sphere_words,
+    word_id,
 )
-from meansets.randomgen import random_word
-
-from freewords import ball_words, reference_sphere_id, sphere_words
 
 # 0.999 quantile of the chi-square distribution with 35 degrees of freedom
 CHI2_35_DF_999 = 66.62
+
+RANKS = (1, 2, 4, 5, 26, 27)
 
 
 def bfs_cayley_oracle(rank: int, radius: int) -> dict:
@@ -43,94 +45,96 @@ def bfs_cayley_oracle(rank: int, radius: int) -> dict:
     return dist
 
 
+def random_id(rng, rank: int, max_len: int) -> str:
+    return word_to_str(random_word(rng, rank, max_len), rank)
+
+
 class TestMultiply:
     def test_single_cancellation(self):
-        a = word_from_str("ab", 2)
-        b = word_from_str("Ba", 2)
-        assert word_to_str(multiply(a, b)) == "aa"
+        assert CayleyGraph(2).multiply("ab", "Ba") == "aa"
 
     def test_inverse_gives_identity(self):
         rng = random.Random(3)
-        words = [random_word(rng, 3, 6) for _ in range(50)]
+        words = [ReducedWord(3, random_word(rng, 3, 6)) for _ in range(50)]
         words += [ReducedWord(r, ls) for r, ls in ((1, ()), (1, (-1, -1)), (27, (27, -3)))]
         for w in words:
-            assert multiply(w, w.inverse()) == identity(w.rank)
-            assert multiply(w.inverse(), w) == identity(w.rank)
-            assert w.inverse().inverse() == w
+            g = CayleyGraph(w.rank)
+            wid, inv = word_id(w), word_id(w.inverse())
+            assert g.multiply(wid, inv) == g.multiply(inv, wid) == g.empty_id
 
     def test_associativity_on_random_triples(self):
+        g = CayleyGraph(2)
         rng = random.Random(9)
         for _ in range(1000):
-            a, b, c = (random_word(rng, 2, 5) for _ in range(3))
-            assert multiply(multiply(a, b), c) == multiply(a, multiply(b, c))
+            a, b, c = (random_id(rng, 2, 5) for _ in range(3))
+            assert g.multiply(g.multiply(a, b), c) == g.multiply(a, g.multiply(b, c))
 
     def test_rank_mismatch(self):
-        with pytest.raises(RankMismatchError):
-            multiply(identity(2), identity(3))
+        # an element of another rank is not a vertex of this graph
+        with pytest.raises(VertexIdError):
+            CayleyGraph(2).multiply("e", "c")
+        with pytest.raises(VertexIdError):
+            CayleyGraph(27).multiply("g28", "1")
 
     def test_unreduced_letters_rejected(self):
-        with pytest.raises(ValueError):
-            ReducedWord(2, (1, -1))
-        with pytest.raises(ValueError):
-            ReducedWord(2, (3,))
+        with pytest.raises(ValueError, match="^word is not freely reduced$"):
+            word_from_str("aA", 2)
+        with pytest.raises(ValueError, match="^letter 3 out of range for rank 2$"):
+            word_from_str("c", 2)
 
-
-class TestReducedWord:
-    def test_fields_are_read_only(self):
-        w = ReducedWord(2, (1, 2))
-        for name, value in (("letters", (1,)), ("rank", 3)):
-            with pytest.raises(AttributeError):
-                setattr(w, name, value)
-        assert (w.rank, w.letters) == (2, (1, 2))
-
-    def test_letters_from_any_iterable_give_one_word(self):
-        from_list, from_tuple = ReducedWord(3, [1, -2, 3]), ReducedWord(3, (1, -2, 3))
-        assert from_list == from_tuple
-        assert hash(from_list) == hash(from_tuple)
-        assert from_list.letters == (1, -2, 3)
-        assert {from_list: "x"}[from_tuple] == "x"
-        assert len({from_list, from_tuple}) == 1
-
-    def test_rank_is_part_of_the_word(self):
-        assert ReducedWord(2, (1, 2)) != ReducedWord(3, (1, 2))
-        assert ReducedWord(2) != ReducedWord(3)
+    @pytest.mark.parametrize("rank", RANKS)
+    def test_matches_word_product(self, rank):
+        # identity on either side, full cancellation a a^-1, and random pairs
+        g = CayleyGraph(rank)
+        rng = random.Random(4400 + rank)
+        e = identity(rank)
+        for _ in range(300):
+            a = ReducedWord(rank, random_word(rng, rank, 6))
+            pairs = [(a, ReducedWord(rank, random_word(rng, rank, 6))), (e, a), (a, e),
+                     (a, a.inverse())]
+            # a prefix of a's inverse cancels part of a
+            inv = a.inverse().letters
+            pairs.append((a, ReducedWord(rank, inv[: rng.randint(0, len(inv))])))
+            for x, y in pairs:
+                assert g.multiply(word_id(x), word_id(y)) == word_id(multiply(x, y))
+        assert g.multiply(g.empty_id, g.empty_id) == g.empty_id
 
 
 class TestDistance:
     def test_length_from_identity(self):
-        assert fg_distance(identity(2), word_from_str("aba", 2)) == 3
+        assert CayleyGraph(2).distance("e", "aba") == 3
 
     def test_zero_on_equal(self):
-        w = word_from_str("abAB", 2)
-        assert fg_distance(w, w) == 0
+        assert CayleyGraph(2).distance("abAB", "abAB") == 0
 
     def test_matches_bfs_on_materialized_ball(self):
+        g = CayleyGraph(2)
         oracle = bfs_cayley_oracle(2, 8)
         rng = random.Random(41)
-        words = [random_word(rng, 2, 4) for _ in range(60)]
-        e = identity(2)
+        words = [ReducedWord(2, random_word(rng, 2, 4)) for _ in range(60)]
         for a in words:
             for b in words:
                 # d(a, b) = d(e, a^-1 b), and |a^-1 b| <= 8 is inside the oracle
                 rel = multiply(a.inverse(), b)
-                assert fg_distance(a, b) == oracle[rel]
-                assert fg_distance(e, rel) == oracle[rel]
+                assert g.distance(word_id(a), word_id(b)) == oracle[rel] == fg_distance(a, b)
+                assert g.distance(g.empty_id, word_id(rel)) == oracle[rel]
 
     def test_left_invariance(self):
+        graph = CayleyGraph(2)
         rng = random.Random(13)
         for _ in range(1000):
-            g = random_word(rng, 2, 4)
-            a = random_word(rng, 2, 4)
-            b = random_word(rng, 2, 4)
-            assert fg_distance(a, b) == fg_distance(multiply(g, a), multiply(g, b))
+            g, a, b = (random_id(rng, 2, 4) for _ in range(3))
+            moved = graph.multiply(g, a), graph.multiply(g, b)
+            assert graph.distance(a, b) == graph.distance(*moved)
 
 
 class TestSphereSize:
     def test_rank2_length1(self):
-        assert sphere_size(2, 1) == 4
+        assert sphere_size(2, 1) == 4 == len(CayleyGraph(2).neighbors("e"))
 
     def test_rank4_length2(self):
-        assert sphere_size(4, 2) == 56
+        g = CayleyGraph(4)
+        assert sphere_size(4, 2) == 56 == len(g.ball("e", 2)) - len(g.ball("e", 1))
 
     def test_matches_enumeration(self):
         words = ball_words(2, 3)
@@ -165,7 +169,7 @@ class TestSampleSphere:
             assert abs(c / 10_000 - 0.25) < 0.02
 
     def test_rank2_length3_chi_square(self):
-        sphere = [word_to_str(w) for w in sphere_words(2, 3)]
+        sphere = [word_id(w) for w in sphere_words(2, 3)]
         assert len(sphere) == 36
         rng = random.Random(31415)
         n = 100_000
@@ -188,62 +192,77 @@ class TestSampleSphere:
 
 class TestCayleyNeighbors:
     def test_identity_neighbors(self):
-        ns = cayley_neighbors(identity(2))
-        assert len(ns) == 4
-        assert all(len(w) == 1 for w in ns)
+        # each generator, then its inverse
+        assert CayleyGraph(2).neighbors("e") == ("a", "A", "b", "B")
 
     def test_neighbors_of_generator(self):
-        ns = {word_to_str(w) for w in cayley_neighbors(word_from_str("a", 2))}
-        assert ns == {"e", "aa", "ab", "aB"}
+        assert set(CayleyGraph(2).neighbors("a")) == {"e", "aa", "ab", "aB"}
 
     def test_all_at_distance_one(self):
+        g = CayleyGraph(3)
         rng = random.Random(77)
         for _ in range(100):
-            w = random_word(rng, 3, 5)
-            ns = cayley_neighbors(w)
+            w = ReducedWord(3, random_word(rng, 3, 5))
+            ns = g.neighbors(word_id(w))
             assert len(ns) == 6
             for u in ns:
-                assert fg_distance(w, u) == 1
+                assert fg_distance(w, parse_word(u, 3)) == 1
 
     def test_tree_no_second_paths(self):
         # BFS within radius 6 never reaches a word twice
         seen = bfs_cayley_oracle(2, 6)
         total = sum(sphere_size(2, k) for k in range(7))
-        assert len(seen) == total
+        assert len(seen) == total == len(CayleyGraph(2).ball("e", 6))
 
 
 class TestSerialization:
     def test_examples(self):
-        assert word_to_str(word_from_str("abA", 2)) == "abA"
-        assert word_to_str(identity(2)) == "e"
-        assert word_from_str("e", 4) == identity(4)
+        assert word_to_str(word_from_str("abA", 2), 2) == "abA"
+        assert word_to_str((), 2) == "e"
+        assert word_from_str("e", 4) == ()
 
     def test_roundtrip_random(self):
         rng = random.Random(99)
         for rank in (1, 2, 4, 5, 26):
             for _ in range(40):
                 w = random_word(rng, rank, 6)
-                assert word_from_str(word_to_str(w), rank) == w
+                assert word_from_str(word_to_str(w, rank), rank) == w
 
     def test_rank5_empty_spelling_avoids_generator_e(self):
         # letter e is generator 5 from rank 5 on, so the empty word moves to "1"
-        g5 = generator(5, 5)
-        assert word_to_str(g5) == "e"
-        assert word_from_str("e", 5) == g5
-        assert word_to_str(identity(5)) == "1"
-        assert word_from_str("1", 5) == identity(5)
+        assert word_to_str((5,), 5) == "e"
+        assert word_from_str("e", 5) == (5,)
+        assert word_to_str((), 5) == "1"
+        assert word_from_str("1", 5) == ()
 
     def test_token_syntax_high_rank(self):
-        w = ReducedWord(30, (3, -7, 28))
-        assert word_to_str(w) == "g3 G7 g28"
-        assert word_from_str("g3 G7 g28", 30) == w
-        assert word_from_str("1", 30) == identity(30)
+        assert word_to_str((3, -7, 28), 30) == "g3 G7 g28"
+        assert word_from_str("g3 G7 g28", 30) == (3, -7, 28)
+        assert word_from_str("1", 30) == ()
 
     @pytest.mark.parametrize("text", ["e", "abc", "Z", "g1 b"])
     def test_high_rank_reads_only_tokens(self, text):
         # above rank 26 word_to_str writes g/G tokens, never letters
         with pytest.raises(ValueError):
             word_from_str(text, 27)
+
+    @pytest.mark.parametrize("rank, text, message", [
+        (1, "ab", "letter 2 out of range for rank 1"),
+        (26, "G27", "letter -27 out of range for rank 26"),
+        (27, "g28", "letter 28 out of range for rank 27"),
+        (27, "g0", "letter 0 out of range for rank 27"),
+        (30, "G31 g2", "letter -31 out of range for rank 30"),
+        (1, "aA", "word is not freely reduced"),
+        (2, "abBa", "word is not freely reduced"),
+        (5, "eE", "word is not freely reduced"),
+        (26, "zZ", "word is not freely reduced"),
+        (27, "g3 G3", "word is not freely reduced"),
+        (2, "g1 G1", "word is not freely reduced"),
+        (0, "e", "rank must be >= 1"),
+    ])
+    def test_range_and_reduction(self, rank, text, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            word_from_str(text, rank)
 
     def test_bad_input(self):
         with pytest.raises(ValueError):
@@ -283,26 +302,26 @@ class TestCayleyGraph:
         for rank in (2, 5, 27):
             g = CayleyGraph(rank)
             for _ in range(80):
-                w = random_word(rng, rank, 5)
-                via_graph = g.neighbors(word_to_str(w))
-                via_words = tuple(word_to_str(u) for u in cayley_neighbors(w))
+                w = ReducedWord(rank, random_word(rng, rank, 5))
+                via_graph = g.neighbors(word_id(w))
+                via_words = tuple(word_id(u) for u in cayley_neighbors(w))
                 assert via_graph == via_words
 
     def test_distance_matches_word_metric(self):
         g = CayleyGraph(3)
         rng = random.Random(56)
         for _ in range(200):
-            a = random_word(rng, 3, 6)
-            b = random_word(rng, 3, 6)
-            assert g.distance(word_to_str(a), word_to_str(b)) == fg_distance(a, b)
+            a = ReducedWord(3, random_word(rng, 3, 6))
+            b = ReducedWord(3, random_word(rng, 3, 6))
+            assert g.distance(word_id(a), word_id(b)) == fg_distance(a, b)
         # above rank 26 a distance compares the ids' token tuples
         g = CayleyGraph(27)
         for _ in range(200):
-            a = random_word(rng, 27, 6)
-            b = random_word(rng, 27, 6)
+            a = ReducedWord(27, random_word(rng, 27, 6))
+            b = ReducedWord(27, random_word(rng, 27, 6))
             if rng.random() < 0.5:  # a prefix of a, so the ids share tokens
                 b = ReducedWord(27, a.letters[: rng.randint(0, len(a))])
-            assert g.distance(word_to_str(a), word_to_str(b)) == fg_distance(a, b)
+            assert g.distance(word_id(a), word_id(b)) == fg_distance(a, b)
 
     @pytest.mark.parametrize("a, b", [("g3 G3", "g1"), ("g1", "g28"), ("g1 ", "g1"), ("1", "e")])
     def test_high_rank_distance_rejects_non_canonical_ids(self, a, b):
@@ -322,18 +341,15 @@ class TestCayleyGraph:
         # id the neighbour step makes must be canonical
         g = CayleyGraph(rank)
         words = ball_words(rank, radius)
-        assert g.ball(g.empty_id, radius) == {word_to_str(w) for w in words}
+        assert g.ball(g.empty_id, radius) == {word_id(w) for w in words}
         centre = ReducedWord(rank, (1, -2) if rank > 1 else (1, 1))
-        assert g.ball(word_to_str(centre), radius) == {
-            word_to_str(multiply(centre, w)) for w in words
-        }
+        assert g.ball(word_id(centre), radius) == {word_id(multiply(centre, w)) for w in words}
 
     def test_degree_is_2r_everywhere(self):
         g = CayleyGraph(4)
         rng = random.Random(57)
         for _ in range(50):
-            w = word_to_str(random_word(rng, 4, 5))
-            assert len(g.neighbors(w)) == 8
+            assert len(g.neighbors(random_id(rng, 4, 5))) == 8
 
     def test_prefixes_are_the_geodesic_from_the_identity(self):
         # the prefixes of a path key are the keys of the geodesic's vertices
@@ -344,10 +360,10 @@ class TestCayleyGraph:
             assert g.key_id(g.path_key(g.empty_id)) == g.empty_id
             for _ in range(40):
                 w = random_word(rng, rank, 6)
-                key = g.path_key(word_to_str(w))
+                key = g.path_key(word_to_str(w, rank))
                 assert len(key) == len(w)
                 assert [g.key_id(key[:k]) for k in range(len(w) + 1)] == [
-                    word_to_str(ReducedWord(rank, w.letters[:k])) for k in range(len(w) + 1)
+                    word_to_str(w[:k], rank) for k in range(len(w) + 1)
                 ]
 
     @pytest.mark.parametrize(
@@ -382,7 +398,7 @@ class TestCayleyGraph:
         key = g.path_key(vid)
         w = word_from_str(vid, rank)
         assert [g.key_id(key[:k]) for k in range(1, len(w) + 1)] == [
-            word_to_str(ReducedWord(rank, w.letters[:k])) for k in range(1, len(w) + 1)
+            word_to_str(w[:k], rank) for k in range(1, len(w) + 1)
         ]
         assert g.key_id(key) == vid
 

@@ -10,15 +10,7 @@ from meansets.errors import (
     UnreachableAtomError,
     VertexIdError,
 )
-from meansets.freegroup import (
-    CayleyGraph,
-    ReducedWord,
-    fg_distance,
-    multiply,
-    sample_sphere,
-    word_from_str,
-    word_to_str,
-)
+from meansets.freegroup import CayleyGraph, sample_sphere, word_to_str
 from meansets.graphs import (
     ExplicitGraph,
     ImplicitGraph,
@@ -48,7 +40,7 @@ from meansets.randomgen import (
     random_word_measure,
 )
 
-from freewords import ball_words
+from freewords import ReducedWord, ball_words, fg_distance, multiply, parse_word, word_id
 from test_graphs import SPARSE_EDGES, sparse_relabel
 
 
@@ -276,8 +268,7 @@ class TestMeanSetBounded:
         mu = AtomicMeasure.uniform(["e", "a", "A"])
         res = mean_set_bounded(g, mu, 2)
         # independent scan over the materialized radius-6 ball
-        e = word_from_str("e", 2)
-        atoms = {word_from_str(v, 2): mu[v] for v in mu.support()}
+        atoms = {parse_word(v, 2): mu[v] for v in mu.support()}
         best = None
         best_words = []
         for w in ball_words(2, 6):
@@ -287,7 +278,7 @@ class TestMeanSetBounded:
                 best, best_words = val, [w]
             elif val == best:
                 best_words.append(w)
-        assert res.vertices == frozenset(word_to_str(w) for w in best_words)
+        assert res.vertices == frozenset(word_id(w) for w in best_words)
         assert res.vertices == frozenset(["e"])
         assert res.min_weight == best == Fraction(2, 3)
 
@@ -453,16 +444,16 @@ class TestMeanSetTree:
         res = mean_set_tree(g, mu, 2)
         # all mass shares the prefix a, so the center is near it; verify by
         # scanning a materialized ball
-        atoms = {word_from_str(v, 4): mu[v] for v in mu.support()}
+        atoms = {parse_word(v, 4): mu[v] for v in mu.support()}
         best = None
         best_words = set()
         for w in ball_words(4, 5):
             val = sum((Fraction(fg_distance(w, s)) ** 2 * p for s, p in atoms.items()),
                       Fraction(0))
             if best is None or val < best:
-                best, best_words = val, {word_to_str(w)}
+                best, best_words = val, {word_id(w)}
             elif val == best:
-                best_words.add(word_to_str(w))
+                best_words.add(word_id(w))
         assert res.vertices == frozenset(best_words)
 
     def test_refuses_graph_with_cycles(self):
@@ -569,14 +560,14 @@ class TestTreeSolverDifferential:
 def prefix_hull_scan(rank: int, mu: AtomicMeasure, c: int):
     """Brute force over every prefix of every atom, on ReducedWords and the
     word metric; also returns how many vertices were scanned."""
-    atoms = {word_from_str(s, rank): mu[s] for s in mu.support()}
+    atoms = {parse_word(s, rank): mu[s] for s in mu.support()}
     hull = {ReducedWord(rank, w.letters[:k]) for w in atoms for k in range(len(w) + 1)}
     weights = {
         v: sum((Fraction(fg_distance(v, s)) ** c * p for s, p in atoms.items()), Fraction(0))
         for v in hull
     }
     best = min(weights.values())
-    return frozenset(word_to_str(v) for v, w in weights.items() if w == best), best, len(hull)
+    return frozenset(word_id(v) for v, w in weights.items() if w == best), best, len(hull)
 
 
 class TestFreeGroupPrefixTrie:
@@ -610,8 +601,8 @@ class TestFreeGroupPrefixTrie:
         e = g.empty_id
         for _ in range(10):
             w = random_word(rng, rank, 5)
-            wid = word_to_str(w)
-            step = word_to_str(ReducedWord(rank, w.letters[:1]))
+            wid = word_to_str(w, rank)
+            step = word_to_str(w[:1], rank)
             cases = [
                 AtomicMeasure.point_mass(wid),
                 AtomicMeasure.point_mass(e),
@@ -629,21 +620,21 @@ class TestFreeGroupPrefixTrie:
     def test_deep_common_prefix(self, rank):
         # the descent walks 40 steps down a^40 before the atoms split
         g = CayleyGraph(rank)
-        stem = ReducedWord(rank, (1,) * 40)
+        stem = (1,) * 40
         mu = AtomicMeasure.from_masses({
-            word_to_str(ReducedWord(rank, stem.letters + (2,))): 1,
-            word_to_str(ReducedWord(rank, stem.letters + (-2,))): 1,
+            word_to_str(stem + (2,), rank): 1,
+            word_to_str(stem + (-2,), rank): 1,
         })
         for c in (1, 2):
             self.assert_agree(g, mu, c)
-        assert mean_set_tree(g, mu, 2).vertices == frozenset([word_to_str(stem)])
+        assert mean_set_tree(g, mu, 2).vertices == frozenset([word_to_str(stem, rank)])
 
     @pytest.mark.parametrize("rank", RANKS)
     def test_class_one_plateau(self, rank):
         # every vertex of the geodesic from A^30 to a^30 has class-1 weight 30
         g = CayleyGraph(rank)
-        a30 = ReducedWord(rank, (1,) * 30)
-        mu = AtomicMeasure.from_masses({word_to_str(a30): 1, word_to_str(a30.inverse()): 1})
+        mu = AtomicMeasure.from_masses({word_to_str((1,) * 30, rank): 1,
+                                        word_to_str((-1,) * 30, rank): 1})
         for c in (1, 2):
             self.assert_agree(g, mu, c)
         res = mean_set_tree(g, mu, 1)
@@ -659,7 +650,7 @@ class TestFreeGroupPrefixTrie:
             w = random_word(rng, rank, 10)
             cuts = rng.sample(range(len(w) + 1), min(len(w) + 1, rng.randint(2, 4)))
             mu = AtomicMeasure.from_masses({
-                word_to_str(ReducedWord(rank, w.letters[:k])): rng.randint(1, 9) for k in cuts
+                word_to_str(w[:k], rank): rng.randint(1, 9) for k in cuts
             })
             for c in (1, 2):
                 self.assert_agree(g, mu, c)
@@ -727,11 +718,11 @@ class TestShiftProperty:
         rng = random.Random(515)
         for _ in range(200):
             mu = random_word_measure(rng, 2, max_atoms=5, max_len=5)
-            g = random_word(rng, 2, 4)
+            g = word_to_str(random_word(rng, 2, 4), 2)
             base = mean_set_tree(graph, mu, 2)
-            moved = mean_set_tree(graph, shift(mu, g), 2)
+            moved = mean_set_tree(graph, shift(mu, g, graph), 2)
             expected = frozenset(
-                word_to_str(multiply(g, word_from_str(v, 2))) for v in base.vertices
+                word_id(multiply(parse_word(g, 2), parse_word(v, 2))) for v in base.vertices
             )
             assert moved.vertices == expected
             assert moved.min_weight == base.min_weight

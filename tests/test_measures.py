@@ -6,8 +6,8 @@ from math import lcm
 
 import pytest
 
-from meansets.errors import MeasureFormatError, RankMismatchError
-from meansets.freegroup import word_from_str
+from meansets.errors import MeasureFormatError, RankMismatchError, VertexIdError
+from meansets.freegroup import CayleyGraph, word_from_str, word_to_str
 from meansets.measures import (
     _CHUNK,
     AtomicMeasure,
@@ -248,14 +248,15 @@ class TestConvergence:
 
 
 class TestShift:
+    F2 = CayleyGraph(2)
+
     def test_identity_shift(self):
         mu = AtomicMeasure.from_masses({"a": 1, "bA": 2})
-        assert shift(mu, word_from_str("e", 2)) == mu
+        assert shift(mu, "e", self.F2) == mu
 
     def test_point_mass_moves(self):
         mu = AtomicMeasure.point_mass("e")
-        g = word_from_str("ab", 2)
-        assert shift(mu, g) == AtomicMeasure.point_mass("ab")
+        assert shift(mu, "ab", self.F2) == AtomicMeasure.point_mass("ab")
 
     def test_weight_multiset_preserved(self):
         rng = random.Random(17)
@@ -263,27 +264,46 @@ class TestShift:
 
         for _ in range(50):
             mu = random_word_measure(rng, 2, max_atoms=5, max_len=4)
-            g = random_word(rng, 2, 4)
-            moved = shift(mu, g)
+            g = word_to_str(random_word(rng, 2, 4), 2)
+            moved = shift(mu, g, self.F2)
             assert sorted(w for _, w in mu.items()) == sorted(w for _, w in moved.items())
 
     def test_cancellation_merges_nothing(self):
         # translation is a bijection, so distinct atoms stay distinct
         mu = AtomicMeasure.from_masses({"a": 1, "aa": 1})
-        g = word_from_str("A", 2)
-        moved = shift(mu, g)
+        moved = shift(mu, "A", self.F2)
         assert moved == AtomicMeasure.from_masses({"e": 1, "a": 1})
 
     def test_non_word_atom_rejected(self):
         mu = AtomicMeasure.from_masses({0: 1})
         with pytest.raises(RankMismatchError):
-            shift(mu, word_from_str("a", 2))
+            shift(mu, "a", self.F2)
 
     def test_word_object_atom_rejected(self):
-        # atoms are vertex ids; a ReducedWord is not one
+        # atoms are vertex ids; a tuple of letters is not one
         mu = AtomicMeasure.from_masses({word_from_str("b", 2): 1})
         with pytest.raises(RankMismatchError):
-            shift(mu, word_from_str("a", 2))
+            shift(mu, "a", self.F2)
+
+    @pytest.mark.parametrize("rank, atoms", [
+        (2, {"g1": 1, " b ": 1}),  # spellings word_from_str reads, but no ids
+        (2, {"a": 1, "g1": 1}),
+        (2, {" b ": 1}),
+        (4, {"1": 1}),  # the identity is "e" up to rank 4
+        (5, {"e": 1, "1": 1, "eE": 1}),
+        (2, {"c": 1}),
+        (27, {"a": 1}),
+    ])
+    def test_atom_that_is_not_a_vertex_rejected(self, rank, atoms):
+        mu = AtomicMeasure.from_masses(atoms)
+        graph = CayleyGraph(rank)
+        with pytest.raises(RankMismatchError):
+            shift(mu, graph.neighbors(graph.empty_id)[0], graph)
+
+    @pytest.mark.parametrize("rank, g", [(2, " a"), (2, "aA"), (4, "1"), (27, "g28")])
+    def test_shift_that_is_not_a_vertex_rejected(self, rank, g):
+        with pytest.raises(VertexIdError):
+            shift(AtomicMeasure.point_mass("e" if rank <= 4 else "1"), g, CayleyGraph(rank))
 
 
 class TestParsing:
