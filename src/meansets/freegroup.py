@@ -194,6 +194,9 @@ class CayleyGraph(ImplicitGraph):
         ka, kb = self.path_key(a), self.path_key(b)
         return len(ka) + len(kb) - 2 * _str_lcp(ka, kb)
 
+    def distances(self, source: str):
+        return functools.partial(self.distance, source)
+
     def multiply(self, a: str, b: str) -> str:
         """The id of the product ab: a's key less the letters that cancel
         against the start of b's key, then the rest of b's key."""

@@ -2,13 +2,15 @@
 
 Vertex ids are opaque hashable values with a total order (ints for explicit
 graphs, strings for Cayley graphs, tuples for grids).  Distances are graph
-geodesics computed by breadth-first search; each query runs its own search
-and the graph keeps no state between queries.  Implicit graphs may carry an
-exact distance oracle that bypasses BFS entirely.
+geodesics, and every query goes through one method per graph kind,
+`distances(source)`: an explicit graph reads one BFS column over its index
+adjacency, an implicit graph asks its exact oracle or grows one BFS by id.
+Each query runs its own search; the graph keeps no state between queries.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import chain
 from typing import Callable, Hashable, Iterable
 
@@ -29,45 +31,16 @@ class Graph:
     def neighbors(self, v) -> tuple:
         raise NotImplementedError
 
+    def distances(self, source):
+        """The function v -> d(source, v), through which every distance query goes."""
+        raise NotImplementedError
+
     def _require_vertex(self, v) -> None:
         """Reject a BFS source outside the vertex set (only explicit graphs can tell)."""
 
-    def _layers(self, source):
-        """Breadth-first search from `source`, yielding (depth, dist) after
-        each completed layer: dist maps every vertex within `depth` of the
-        source to its distance.  The first yield is (0, {source: 0}); the
-        search ends when a layer adds no vertex."""
-        self._require_vertex(source)
-        neighbors = self.neighbors
-        dist = {source: 0}
-        frontier = [source]
-        depth = 0
-        while frontier:
-            yield depth, dist
-            depth += 1
-            nxt = []
-            for v in frontier:
-                for u in neighbors(v):
-                    if u not in dist:
-                        dist[u] = depth
-                        nxt.append(u)
-            frontier = nxt
-
     def distance(self, u, v) -> int:
         """Geodesic distance between u and v."""
-        for _, dist in self._layers(u):
-            if v in dist:
-                return dist[v]
-        raise UnreachableVertexError(f"no path from {u!r} to {v!r}")
-
-    def ball(self, v, r: int) -> set:
-        """All vertices at distance <= r from v."""
-        if r < 0:
-            raise ValueError("radius must be nonnegative")
-        for depth, dist in self._layers(v):
-            if depth == r:
-                break
-        return set(dist)
+        return self.distances(u)(v)
 
 
 class ExplicitGraph(Graph):
@@ -76,10 +49,10 @@ class ExplicitGraph(Graph):
     The graph is held as one index adjacency: `_vertices` lists the ids in
     sorted order, `_index` maps an id to its position there, and `_nbrs[i]`
     is the sorted list of the neighbours' positions of the vertex at
-    position i.  Whole-graph work (the exact scan, connectivity, cut-points,
-    component splits, `distances_from`) runs on these lists through one
-    BFS kernel, `_column`, and never calls `neighbors`, which maps positions
-    back to ids for callers that walk the graph by id.
+    position i.  Every query (distances, balls, the exact scan,
+    connectivity, cut-points, component splits) runs on these lists through
+    one BFS kernel, `_column`, and never calls `neighbors`, which maps
+    positions back to ids for callers that walk the graph by id.
 
     The constructor rejects self-loops and parallel edges (they never change
     distances) and requires connectivity.
@@ -139,9 +112,23 @@ class ExplicitGraph(Graph):
             raise UnreachableVertexError(f"{v!r} is not a vertex")
 
     def distances_from(self, source) -> dict:
-        """Distance from `source` to every vertex, in vertex order."""
+        """Distance from `source` to every vertex, in vertex order; reading
+        a non-vertex raises UnreachableVertexError."""
         self._require_vertex(source)
-        return dict(zip(self._vertices, self._column(self._index[source])))
+        return _Column(zip(self._vertices, self._column(self._index[source])))
+
+    def distances(self, source):
+        """v -> d(source, v), read from one `_column`; UnreachableVertexError
+        for a source or a v that is not a vertex.  The column covers the
+        whole graph, so a lone `distance(u, v)` costs a full BFS with no
+        early stop: callers asking many distances share one `distances`."""
+        return self.distances_from(source).__getitem__
+
+    def ball(self, v, r: int) -> set:
+        """All vertices at distance <= r from v."""
+        if r < 0:
+            raise ValueError("radius must be nonnegative")
+        return {u for u, d in self.distances_from(v).items() if d <= r}
 
     def vertices(self) -> tuple:
         return self._vertices
@@ -178,6 +165,13 @@ class ExplicitGraph(Graph):
         return [v for v in self._vertices if self.is_cut_point(v)]
 
 
+class _Column(dict):
+    """Distances from one source by vertex id; a non-vertex has none."""
+
+    def __missing__(self, v):
+        raise UnreachableVertexError(f"{v!r} is not a vertex")
+
+
 def _reject_first_bad_edge(pairs: list) -> None:
     """Raise GraphFormatError for the first self-loop or repeated edge, in input order."""
     seen = set()
@@ -195,7 +189,8 @@ class ImplicitGraph(Graph):
 
     Connectivity and symmetric adjacency are a construction contract, not a
     checked property: they are not decidable from the oracle.  An exact
-    `distance_fn` may be supplied to bypass BFS.
+    `distance_fn` may be supplied to bypass BFS; else `distances` walks
+    `neighbors` by id in `_layers`, the BFS that also serves `ball`.
     """
 
     def __init__(
@@ -211,10 +206,52 @@ class ImplicitGraph(Graph):
     def neighbors(self, v) -> tuple:
         return tuple(self._neighbor_fn(v))
 
-    def distance(self, u, v) -> int:
+    def _layers(self, source):
+        """Breadth-first search from `source`, yielding (depth, dist) after
+        each completed layer: dist maps every vertex within `depth` of the
+        source to its distance.  The first yield is (0, {source: 0}); the
+        search ends when a layer adds no vertex."""
+        self._require_vertex(source)
+        neighbors = self.neighbors
+        dist = {source: 0}
+        frontier = [source]
+        depth = 0
+        while frontier:
+            yield depth, dist
+            depth += 1
+            nxt = []
+            for v in frontier:
+                for u in neighbors(v):
+                    if u not in dist:
+                        dist[u] = depth
+                        nxt.append(u)
+            frontier = nxt
+
+    def distances(self, source):
+        """v -> d(source, v): the exact oracle if the graph has one, else
+        one BFS column grown only as far as the vertices asked for, and
+        UnreachableVertexError once the search ends without reaching v."""
         if self._distance_fn is not None:
-            return self._distance_fn(u, v)
-        return super().distance(u, v)
+            return partial(self._distance_fn, source)
+        layers = self._layers(source)
+        column = next(layers)[1]
+
+        def dist(v):
+            while v not in column:
+                if next(layers, None) is None:
+                    raise UnreachableVertexError(f"no path from {source!r} to {v!r}")
+            return column[v]
+
+        return dist
+
+    def ball(self, v, r: int) -> set:
+        """All vertices at distance <= r from v."""
+        if r < 0:
+            raise ValueError("radius must be nonnegative")
+        for depth, dist in self._layers(v):
+            if depth == r:
+                break
+        return set(dist)
 
     def vertices(self):
         raise InfiniteGraphError("vertex scan needs a finite explicit graph")
@@ -251,10 +288,9 @@ def parse_graph(text: str) -> ExplicitGraph:
     per line, `#` comments and blank lines ignored."""
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise GraphFormatError(f"line {lineno}: expected 'u v', got {raw!r}")
         try:

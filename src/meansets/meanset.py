@@ -11,9 +11,10 @@ cover the three graph shapes:
                           one BFS column per atom on its index adjacency;
   * mean_set_tree      -- exact on trees: direct descent from a root over
                           the atoms sorted by root-path key (`path_key` on
-                          a free group, else one BFS from the heaviest
-                          atom), each vertex scored from range sums with no
-                          distance calls, then an equal-weight flood fill;
+                          a free group, else the ids on each atom's path
+                          from the heaviest atom), each vertex scored from
+                          range sums with no distance calls, then an
+                          equal-weight flood fill;
   * mean_set_bounded   -- scan of a ball that provably contains the argmin,
                           for implicit graphs that are not trees.
 
@@ -62,11 +63,12 @@ class MeanSetResult:
 
 
 def weight(g: Graph, mu: AtomicMeasure, v, c: int = 2) -> Fraction:
-    """Exact class-c weight of v under mu."""
+    """Exact class-c weight of v under mu, from one distance column from v."""
     _check_class(c)
     denom, nums = mu.numerators()
     try:
-        return Fraction(_weight_fn(g.distance, nums, c)(v), denom)
+        dist = g.distances(v)
+        return Fraction(sum(dist(s) ** c * m for s, m in nums.items()), denom)
     except UnreachableVertexError as exc:
         raise UnreachableAtomError(str(exc)) from None
 
@@ -82,50 +84,6 @@ def _require_atoms(g: Graph, atoms) -> None:
             g._require_vertex(s)
     except UnreachableVertexError as exc:
         raise UnreachableAtomError(str(exc)) from None
-
-
-def _atom_distance(g: Graph, atoms):
-    """Distance function d(s, v) for s one of `atoms`.
-
-    A graph with an exact oracle (the line, the grid, free groups) answers
-    with `g.distance`.  Any other graph gets one BFS column per atom, grown
-    layer by layer only as far as the vertices asked for and dropped with
-    the function, so each distance is a lookup: O(|atoms| * (V + E)) in all
-    on a finite graph.
-    """
-    if isinstance(g, CayleyGraph) or getattr(g, "_distance_fn", None) is not None:
-        return g.distance
-    layers = {s: g._layers(s) for s in atoms}
-    columns = {s: next(bfs)[1] for s, bfs in layers.items()}
-
-    def dist(s, v):
-        column = columns[s]
-        while v not in column:
-            if next(layers[s], None) is None:
-                raise UnreachableVertexError(f"no path from {s!r} to {v!r}")
-        return column[v]
-
-    return dist
-
-
-def _weight_fn(dist, nums: dict, c: int):
-    """Integer weight numerator as a function of the vertex, asking for
-    distances as dist(s, v), atom first (see `_atom_distance`)."""
-    items = list(nums.items())
-    if c == 2:
-        def f(v):
-            acc = 0
-            for s, m in items:
-                d = dist(s, v)
-                acc += d * d * m
-            return acc
-    else:
-        def f(v):
-            acc = 0
-            for s, m in items:
-                acc += dist(s, v) * m
-            return acc
-    return f
 
 
 def _argmin(candidates, weights: list, denom: int, c: int, method: str,
@@ -229,39 +187,30 @@ def _sorted_support_descent(keys: tuple, masses: tuple, c: int):
     return region, best
 
 
-def _bfs_path_keys(g: Graph, nums: dict):
-    """Root-path keys of the atoms in sorted order, their masses in that
-    order, and the vertices in BFS discovery order, from one BFS that starts
-    at the heaviest atom (ties broken by vertex order) and stops once every
-    atom is reached.  A key is the tuple of discovery indices on the path
-    from the root, the root's own left out, so key k names order[k[-1]] and
-    () the root."""
+def _root_path_keys(g: Graph, nums: dict):
+    """The heaviest atom (ties broken by vertex order) as the root, the
+    atoms' keys in sorted order and their masses in that order.  A key is
+    the tuple of vertex ids on the path from the root, the root's own left
+    out, walked back from the atom through one `distances` column from the
+    root: each step goes to the one neighbour a level nearer the root."""
     root = min(nums, key=lambda v: (-nums[v], v))
-    order = [root]
-    parent = [0]
-    index = {root: 0}
-    missing = nums.keys() - {root}
-    for i, v in enumerate(order):
-        if not missing:
-            break
-        for u in g.neighbors(v):
-            if u not in index:
-                index[u] = len(order)
-                order.append(u)
-                parent.append(i)
-                missing.discard(u)
-    else:
-        raise UnreachableAtomError(f"no path from {root!r} to {missing.pop()!r}")
+    neighbors = g.neighbors
 
-    def key(j):
-        path = []
-        while j:
-            path.append(j)
-            j = parent[j]
+    def key(v):
+        d = depth(v)
+        path = [v] if d else []
+        while d > 1:
+            d -= 1
+            v = next(u for u in neighbors(v) if depth(u) == d)
+            path.append(v)
         return tuple(reversed(path))
 
-    keys, masses = zip(*sorted((key(index[s]), m) for s, m in nums.items()))
-    return keys, masses, order
+    try:
+        depth = g.distances(root)
+        keys, masses = zip(*sorted((key(s), m) for s, m in nums.items()))
+    except UnreachableVertexError as exc:
+        raise UnreachableAtomError(str(exc)) from None
+    return root, keys, masses
 
 
 def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
@@ -280,10 +229,11 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     the mean-set.  An atom that is not the id word_to_str gives a reduced
     word of the graph's rank raises VertexIdError.
 
-    On any other tree the root is the heaviest atom and the keys come from
-    one BFS (`_bfs_path_keys`): a `neighbors` call per vertex nearer the
-    root than the farthest atom, and O(depth) per atom key.  An atom that
-    is not a vertex raises UnreachableAtomError.
+    On any other tree the root is the heaviest atom and a key is the tuple
+    of vertex ids on the atom's path from it (`_root_path_keys`): one
+    `distances` column from the root, then one `neighbors` call per step
+    back from an atom, at most the sum of the atoms' depths in all.  An
+    atom that is not a vertex raises UnreachableAtomError.
 
     On every tree `steps` is the number of descent moves, the distance from
     the root to the mean-set.  The `meanset` payload reports the atoms'
@@ -301,10 +251,9 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (g.key_id(keys[i][:depth]) for depth, i in region)
     else:
-        _require_atoms(g, nums)
-        keys, masses, order = _bfs_path_keys(g, nums)
+        root, keys, masses = _root_path_keys(g, nums)
         region, best = _sorted_support_descent(keys, masses, c)
-        vertices = (order[keys[i][depth - 1] if depth else 0] for depth, i in region)
+        vertices = (keys[i][depth - 1] if depth else root for depth, i in region)
     return MeanSetResult(
         vertices=frozenset(vertices),
         min_weight=Fraction(best, denom),
@@ -341,8 +290,8 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         )
     denom, nums = mu.numerators()
     v = min(support, key=lambda s: (-nums[s], s))
-    dist = _atom_distance(g, nums)
-    dist_to_atom = {s: dist(s, v) for s in support}
+    columns = [(g.distances(s), m) for s, m in nums.items()]
+    dist_to_atom = {s: dist(v) for s, (dist, _) in zip(nums, columns)}
     total = sum(dist_to_atom[s] ** c * m for s, m in nums.items())
     acc = 0
     r = 0
@@ -353,7 +302,8 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         acc += r ** c * nums[s]
     radius = 3 * r if c == 2 else 4 * r
     ball = sorted(g.ball(v, radius))
-    return _argmin(ball, list(map(_weight_fn(dist, nums, c), ball)), denom, c, "bounded")
+    weights = [sum(dist(u) ** c * m for dist, m in columns) for u in ball]
+    return _argmin(ball, weights, denom, c, "bounded")
 
 
 def measure_mean_set(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:

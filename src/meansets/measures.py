@@ -250,10 +250,9 @@ def parse_measure(text: str, vertex_parser=None, multi_token: bool = False) -> A
     """
     masses: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if multi_token and len(parts) > 2:
             parts = [" ".join(parts[:-1]), parts[-1]]
         if len(parts) != 2:

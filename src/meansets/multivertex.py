@@ -28,7 +28,7 @@ from operator import and_, itemgetter, lshift
 from .errors import NotMeanSetError
 from .graphs import Graph
 from .measures import AtomicMeasure, _atom_sampler
-from .meanset import _atom_distance, measure_mean_set
+from .meanset import measure_mean_set
 
 _BLOCK = 1024  # walk steps per block of simulate_walk
 
@@ -81,11 +81,11 @@ def increments(
                 f"claimed mean-set {sorted(claimed)!r} but solver found {sorted(solved)!r}"
             )
     _, nums = mu.numerators()
-    dist = _atom_distance(g, nums)
     grouped: dict[tuple, int] = {}
     for s, m in nums.items():
-        d_base = dist(s, base) ** 2
-        coords = tuple(dist(s, v) ** 2 - d_base for v in others)
+        dist = g.distances(s)
+        d_base = dist(base) ** 2
+        coords = tuple(dist(v) ** 2 - d_base for v in others)
         grouped[coords] = grouped.get(coords, 0) + m
     return AtomicMeasure.from_masses(grouped)
 

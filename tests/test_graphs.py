@@ -118,6 +118,8 @@ class TestDistancesFrom:
             g.distances_from(7)
         with pytest.raises(UnreachableVertexError):
             g.distance(7, 0)
+        with pytest.raises(UnreachableVertexError):
+            g.distance(0, 7)
 
     def test_non_vertex_to_itself_raises(self):
         # u == v used to answer 0 before the vertex check
@@ -236,9 +238,9 @@ class TestCutPointInequality:
 
 class TestFileFormat:
     def test_parse_with_comments(self):
-        g = parse_graph("# a path\n0 1\n\n1 2  # tail\n")
-        assert g.vertices() == (0, 1, 2)
-        assert g.distance(0, 2) == 2
+        g = parse_graph("# a path\n0 1\n\n1 2  # tail\n \t \r\n2\t3\r\n\t3 4 \n")
+        assert g.vertices() == (0, 1, 2, 3, 4)
+        assert g.distance(0, 4) == 4
 
     def test_rejects_self_loop(self):
         with pytest.raises(GraphFormatError):
@@ -259,6 +261,10 @@ class TestFileFormat:
             parse_graph("a b")
         with pytest.raises(GraphFormatError):
             parse_graph("-1 0")
+        # the message quotes the line as read, comment and whitespace kept
+        with pytest.raises(GraphFormatError) as exc:
+            parse_graph("0 1\n\t1 2 3 # tail \n")
+        assert str(exc.value) == "line 2: expected 'u v', got '\\t1 2 3 # tail '"
 
 
 class TestImplicitGraphs:
@@ -330,9 +336,16 @@ class TestIndexLayer:
             g = ExplicitGraph(edges)
             oracle = edge_list_distances(edges)
             assert g.vertices() == tuple(sorted({x for e in edges for x in e}))
+            # the lazy BFS by id behind an opaque oracle answers the same
+            by_id = ImplicitGraph(g.neighbors)
             for s in g.vertices():
                 assert g.distances_from(s) == {v: oracle[s, v] for v in g.vertices()}
                 assert set(g.neighbors(s)) == {v for v in g.vertices() if oracle[s, v] == 1}
+                for h in (g, by_id):
+                    assert [h.distance(s, v) for v in g.vertices()] == [
+                        oracle[s, v] for v in g.vertices()]
+                    for r in range(4):
+                        assert h.ball(s, r) == {v for v in g.vertices() if oracle[s, v] <= r}
 
     def test_column_reads_minus_one_where_banned_or_cut_off(self):
         g = path_graph(5)

@@ -83,6 +83,16 @@ def as_implicit(g: ExplicitGraph) -> ImplicitGraph:
     return ImplicitGraph(lambda v: g.neighbors(v), is_tree=g.is_tree)
 
 
+class CountingPath(ExplicitGraph):
+    """An explicit graph that counts the calls that walk it by id."""
+
+    calls = 0
+
+    def neighbors(self, v):
+        self.calls += 1
+        return super().neighbors(v)
+
+
 class TestWeight:
     def test_path_two_point(self):
         g = path_graph(3)
@@ -198,13 +208,6 @@ class TestMeanSetExact:
         assert g.columns == 3
 
     def test_long_path_work_is_one_bfs_per_atom(self):
-        class CountingPath(ExplicitGraph):
-            calls = 0
-
-            def neighbors(self, v):
-                self.calls += 1
-                return super().neighbors(v)
-
         n = 10**4
         g = CountingPath((i, i + 1) for i in range(n - 1))
         g.calls = 0  # the connectivity check at construction is not solver work
@@ -483,6 +486,26 @@ class TestMeanSetTree:
         with pytest.raises(UnreachableAtomError):
             mean_set_tree(broken, AtomicMeasure.from_masses({0: 1, 5: 1}), 2)
 
+    def test_explicit_tree_walked_only_back_to_the_root(self):
+        # every distance comes from a column on the index lists: the ball
+        # scan never walks the graph by id, and the descent's keys take one
+        # `neighbors` call per step from an atom back to the root
+        rng = random.Random(2323)
+        for _ in range(60):
+            tree = CountingPath(random_tree(rng, 40).edges())
+            mu = random_measure(tree.vertices(), rng, max_atoms=8)
+            root = min(mu.support(), key=lambda s: (-mu[s], s))
+            depths = sum(tree.distance(root, s) for s in mu.support())
+            for c in (1, 2):
+                exact = mean_set_exact(tree, mu, c)
+                tree.calls = 0
+                res = mean_set_bounded(tree, mu, c)
+                assert tree.calls == 0
+                assert (res.vertices, res.min_weight) == (exact.vertices, exact.min_weight)
+                res = mean_set_tree(tree, mu, c)
+                assert tree.calls <= depths
+                assert (res.vertices, res.min_weight) == (exact.vertices, exact.min_weight)
+
     def test_single_atom_short_circuit(self):
         g = CayleyGraph(2)
         res = mean_set_tree(g, AtomicMeasure.point_mass("abab"), 2)
@@ -516,8 +539,8 @@ def long_branch_tree(rng: random.Random, max_vertices: int) -> ExplicitGraph:
 
 
 class TestTreeSolverDifferential:
-    """The tree solver on BFS-rooted keys against the independent full scan
-    and hull scan."""
+    """The tree solver on keys of vertex ids against the independent full
+    scan and hull scan."""
 
     @pytest.mark.parametrize("shape", [random_tree, long_branch_tree])
     def test_matches_exact_scan(self, shape):

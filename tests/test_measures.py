@@ -308,8 +308,8 @@ class TestShift:
 
 class TestParsing:
     def test_integer_masses(self):
-        mu = parse_measure("0 1\n1 2\n# comment\n\n2 3\n")
-        assert mu[2] == Fraction(1, 2)
+        mu = parse_measure("0 1\n1 2\n# comment\n\n \t\r\n2\t3\r\n\t3 0.5 # tail\n")
+        assert mu[2] == Fraction(6, 13) and mu[3] == Fraction(1, 13)
 
     def test_word_vertices(self):
         mu = parse_measure("e 1\nab 1\n")
@@ -340,6 +340,9 @@ class TestParsing:
             parse_measure("0 1 2\n")
         with pytest.raises(MeasureFormatError):
             parse_measure("")
+        with pytest.raises(MeasureFormatError) as exc:
+            parse_measure("0 1\n\t1 2 3 # tail \n")
+        assert str(exc.value) == "line 2: expected 'vertex mass', got '\\t1 2 3 # tail '"
 
     def test_multi_token_vertex(self):
         mu = parse_measure("g1 g2 1\ng3  1/2\n", multi_token=True)

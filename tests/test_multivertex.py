@@ -30,6 +30,8 @@ from meansets.randomgen import (
     random_multivertex_instance,
 )
 
+from test_meanset import CountingPath
+
 
 def rational_rank(rows: list[list[int]]) -> int:
     """Independent oracle: Gaussian elimination over Fraction."""
@@ -183,6 +185,17 @@ class TestIncrements:
         # column reaches must raise the graph's error, not a KeyError
         with pytest.raises(UnreachableVertexError):
             increments(path_graph(3), AtomicMeasure.uniform([0, 2]), 1, [9], validate=False)
+
+    def test_explicit_graph_never_walked_by_id(self):
+        # each atom's distances are one column on the index lists
+        rng = random.Random(1002)
+        for _ in range(30):
+            g, mu, meanset = random_multivertex_instance(rng)
+            counting = CountingPath(g.edges())
+            base, *others = sorted(meanset)
+            incs = increments(counting, mu, base, others)
+            assert counting.calls == 0
+            assert incs.items() == reference_increments(g, mu, base, others)
 
     def test_first_moment_zero_on_random_instances(self):
         rng = random.Random(1001)
