@@ -30,24 +30,19 @@ from .graphs import ImplicitGraph
 
 
 @functools.cache
-def _successors(rank: int) -> dict[str, tuple]:
-    """Id letter (a letter, or a g/G token above rank 26) -> the letters that
-    may follow it in a reduced word, in the order x^-r..x^-1, x1..xr; the key
-    "" (no letter yet) maps to all 2r letters."""
-    letters = tuple(word_to_str((x,), rank) for x in range(-rank, rank + 1) if x)
-    table = {"": letters}
-    # letters[i] and letters[-1 - i] are inverses
-    for x, inverse in zip(letters, reversed(letters)):
-        table[x] = tuple(y for y in letters if y != inverse)
-    return table
+def _letters(rank: int) -> tuple:
+    """The ids of the 2r one-letter words, in the order x^-r..x^-1, x1..xr:
+    with top = 2r - 1, letters[top - i] is the inverse of letters[i]."""
+    return tuple(word_to_str((x,), rank) for x in range(-rank, rank + 1) if x)
 
 
 def sample_sphere(rank: int, length: int, rng: random.Random) -> str:
     """Uniform draw from the sphere of the given length, as its vertex id.
 
-    Built as a no-backtracking chain: first letter uniform over 2r symbols,
-    each following letter uniform over the 2r - 1 symbols that do not cancel,
-    one `rng.randrange` call per letter.
+    Built as a no-backtracking chain over the indices of `_letters`, one
+    `rng.randrange` call per letter: the first index i is uniform over the
+    2r letters, and each next one is the j-th, j uniform, of the 2r - 1
+    letters that do not cancel letter i (every index but top - i).
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
@@ -55,15 +50,15 @@ def sample_sphere(rank: int, length: int, rng: random.Random) -> str:
         if length < 0:
             raise ValueError("length must be >= 0")
         return empty_spelling(rank)
-    table = _successors(rank)
+    letters = _letters(rank)
     randrange = rng.randrange
-    first = table[""]
-    prev = first[randrange(len(first))]
-    out = [prev]
-    following = len(first) - 1
+    top = 2 * rank - 1
+    i = randrange(top + 1)
+    out = [letters[i]]
     for _ in range(length - 1):
-        prev = table[prev][randrange(following)]
-        out.append(prev)
+        j = randrange(top)
+        i = j + 1 if j >= top - i else j
+        out.append(letters[i])
     return ("" if rank <= 26 else " ").join(out)
 
 
@@ -145,11 +140,10 @@ def _id_pattern(rank: int) -> re.Pattern:
     rank, except that a g/G token's index is not checked against the rank
     (the caller checks each token against the rank's token set)."""
     if rank <= 26:
-        lower = "abcdefghijklmnopqrstuvwxyz"[:rank]
+        letters = _letters(rank)
         # each letter not followed by its inverse
-        return re.compile(
-            "(?:" + "|".join(f"{x}(?!{x.upper()})|{x.upper()}(?!{x})" for x in lower) + ")+"
-        )
+        inverses = zip(letters, reversed(letters))
+        return re.compile("(?:" + "|".join(f"{x}(?!{y})" for x, y in inverses) + ")+")
     # space-separated tokens, each not followed by its inverse
     token = r"(?:g(?P<i>[1-9][0-9]*)(?! G(?P=i)\b)|G(?P<j>[1-9][0-9]*)(?! g(?P=j)\b))"
     return re.compile(rf"(?:{token}(?: (?!\Z)|\Z))+")
@@ -172,10 +166,9 @@ class CayleyGraph(ImplicitGraph):
         self.empty_id = empty_spelling(rank)
         self._id_match = _id_pattern(rank).fullmatch
         # key element -> its inverse, in neighbour order (x1, x1^-1, x2, ...)
+        letters, top = _letters(rank), 2 * rank - 1
         self._inverse = {
-            word_to_str((x,), rank): word_to_str((-x,), rank)
-            for i in range(1, rank + 1)
-            for x in (i, -i)
+            letters[i]: letters[top - i] for k in range(rank, 2 * rank) for i in (k, top - k)
         }
         self._sep = "" if rank <= 26 else " "
         super().__init__(None, is_tree=True)

@@ -266,9 +266,13 @@ class ImplicitGraph(Graph):
         raise InfiniteGraphError("component split needs a finite explicit graph")
 
 
-def integer_line() -> ImplicitGraph:
+class IntegerLine(ImplicitGraph):
+    """The line's own type, which `measure_mean_set` sends to `line_mean_set`."""
+
+
+def integer_line() -> IntegerLine:
     """The graph on all integers with edges n -- n+1."""
-    return ImplicitGraph(
+    return IntegerLine(
         lambda n: (n - 1, n + 1),
         distance_fn=lambda a, b: abs(a - b),
         is_tree=True,

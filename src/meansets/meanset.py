@@ -34,7 +34,7 @@ from typing import Mapping
 
 from .errors import NotATreeError, UnreachableAtomError, UnreachableVertexError
 from .freegroup import CayleyGraph
-from .graphs import ExplicitGraph, Graph
+from .graphs import ExplicitGraph, Graph, IntegerLine
 from .measures import AtomicMeasure, empirical
 
 
@@ -310,6 +310,8 @@ def measure_mean_set(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     """Dispatch to the solver matching the graph shape."""
     if isinstance(g, ExplicitGraph):
         return mean_set_exact(g, mu, c)
+    if isinstance(g, IntegerLine):
+        return line_mean_set(mu, c)
     if g.is_tree:
         return mean_set_tree(g, mu, c)
     return mean_set_bounded(g, mu, c)
@@ -332,9 +334,13 @@ def line_mean_set(mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     median interval, from the first atom where the cumulative mass reaches
     half the total to the next atom if it reaches exactly half.  `steps`
     is the size of the support's hull, the vertices a scan would score.
+    An atom that is not an int raises UnreachableAtomError.
     """
     _check_class(c)
     denom, nums = mu.numerators()
+    for s in nums:
+        if not isinstance(s, int):
+            raise UnreachableAtomError(f"{s!r} is not a vertex of the integer line")
     atoms = list(nums)  # numerators come in vertex order and sum to denom
 
     def weight(v):

@@ -1,5 +1,6 @@
 import gc
 import random
+import tracemalloc
 import weakref
 from collections import Counter
 
@@ -179,7 +180,18 @@ class TestSampleSphere:
         chi2 = sum((counts.get(w, 0) - expected) ** 2 / expected for w in sphere)
         assert chi2 < CHI2_35_DF_999
 
-    @pytest.mark.parametrize("rank", [1, 2, 4, 5, 26, 27, 127, 128])
+    def test_memory_is_linear_in_the_rank(self):
+        # no other test samples at rank 613, so the peak includes whatever
+        # the call builds and caches: O(r) letters, not a (2r)(2r - 1) table
+        tracemalloc.start()
+        try:
+            sample_sphere(613, 3, random.Random(0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    @pytest.mark.parametrize("rank", [1, 2, 4, 5, 26, 27, 127, 128, 600])
     def test_matches_reference_chain(self, rank):
         # same ids and the same generator state as one randrange per letter
         # over signed indices, so seeded tables do not depend on the sampler

@@ -870,6 +870,35 @@ class TestIntegerLine:
             mu = random_integer_measure(rng, span=8)
             assert line_mean_set(mu, 2).vertices == mean_set_tree(line, mu, 2).vertices
 
+    def test_dispatch_matches_tree_solver(self):
+        # measure_mean_set sends the line to line_mean_set; the descent on
+        # the same graph is the oracle
+        rng = random.Random(48)
+        line = integer_line()
+        for _ in range(150):
+            mu = random_integer_measure(rng, span=rng.choice([5, 30, 300]))
+            for c in (1, 2):
+                res, ref = measure_mean_set(line, mu, c), mean_set_tree(line, mu, c)
+                assert (res.vertices, res.min_weight) == (ref.vertices, ref.min_weight)
+                assert res.method == "line-scan"
+
+    def test_dispatch_never_walks_the_line(self):
+        # the descent keys atom 200000 by its path from the root, one
+        # neighbors call per step; the line solver reads only the atoms
+        line = integer_line()
+        calls = []
+        walk = line.neighbors
+        line.neighbors = lambda v: calls.append(v) or walk(v)
+        mu = AtomicMeasure.from_masses({0: 1, 100: 1, 200000: 1})
+        res = measure_mean_set(line, mu, 2)
+        assert (res.vertices, res.steps) == (frozenset([66700]), 200001)
+        assert calls == []
+
+    @pytest.mark.parametrize("atom", [1.5, "a", (0,)])
+    def test_non_integer_atom_raises(self, atom):
+        with pytest.raises(UnreachableAtomError):
+            measure_mean_set(integer_line(), AtomicMeasure.point_mass(atom), 2)
+
     def test_abelian_right_translation(self):
         # on the integer line (an abelian group) translating the measure by k
         # translates the mean-set by k; documented counterpart of the left
@@ -922,8 +951,13 @@ class TestDispatch:
         assert res.method == "exact"
 
     def test_implicit_tree_goes_descent(self):
-        res = measure_mean_set(integer_line(), AtomicMeasure.uniform([0, 1]), 2)
+        tree = ImplicitGraph(path_graph(5).neighbors, is_tree=True)
+        res = measure_mean_set(tree, AtomicMeasure.uniform([0, 1]), 2)
         assert res.method == "descent"
+
+    def test_integer_line_goes_line_scan(self):
+        res = measure_mean_set(integer_line(), AtomicMeasure.uniform([0, 3]), 2)
+        assert (res.method, res.vertices, res.steps) == ("line-scan", frozenset([1, 2]), 4)
 
     def test_implicit_non_tree_goes_bounded(self):
         res = measure_mean_set(integer_grid(), AtomicMeasure.point_mass((0, 0)), 2)
