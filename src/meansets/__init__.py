@@ -24,7 +24,6 @@ from .errors import (
 from .freegroup import (
     CayleyGraph,
     sample_sphere,
-    word_from_str,
     word_to_str,
 )
 from .graphs import (

@@ -28,7 +28,7 @@ from .experiments import (
     table_to_csv,
     table_to_json,
 )
-from .freegroup import CayleyGraph, word_from_str, word_to_str
+from .freegroup import CayleyGraph
 from .graphs import load_graph
 from .measures import load_measure
 from .meanset import (
@@ -105,13 +105,8 @@ def _load_instance(args):
         mu = load_measure(args.measure, vertex_parser=int)
     else:
         g = CayleyGraph(args.free_rank)
-        rank = args.free_rank
         # a word above rank 26 is several g/G tokens: every field but the mass
-        mu = load_measure(
-            args.measure,
-            vertex_parser=lambda tok: word_to_str(word_from_str(tok, rank), rank),
-            multi_token=True,
-        )
+        mu = load_measure(args.measure, vertex_parser=g.read_id, multi_token=True)
     return g, mu
 
 

@@ -5,16 +5,18 @@ graph: its freely reduced word, spelled as a string.  Generator i is
 chr('a'+i-1), its inverse the uppercase form (rank <= 26); higher ranks use
 space-separated "g3"/"G7" tokens.  The empty word is spelled "e" up to rank
 4; from rank 5 on the letter e names generator 5, so the empty word is
-spelled "1" there.  `word_to_str` and `word_from_str` convert between ids
-and tuples of signed 1-based generator indices (i for a generator, -i for
-its inverse); `sample_sphere` draws ids directly.
+spelled "1" there.  `word_to_str` writes the id of a tuple of signed
+1-based generator indices (i for a generator, -i for its inverse);
+`sample_sphere` draws ids directly.
 
-`CayleyGraph` reads every id it is given through `path_key`, which gives
-both spellings one form: the sequence of letters or tokens whose prefixes
-spell the geodesic from the identity.  The group law works on these keys:
-the product ab cancels the longest common prefix of a^-1 and b, and the
-word metric d(a, b) = |a^-1 b| cancels the longest common prefix of a and
-b, so
+`CayleyGraph` reads every id it is given through `path_key`, the one
+validator of words, which gives both spellings one form: the sequence of
+letters or tokens whose prefixes spell the geodesic from the identity.
+`CayleyGraph.read_id` maps the looser spellings a measure file may use onto
+ids, and leaves range and free reduction to `path_key`.  The group law
+works on these keys: the product ab cancels the longest common prefix of
+a^-1 and b, and the word metric d(a, b) = |a^-1 b| cancels the longest
+common prefix of a and b, so
 
     d(a, b) = |a| + |b| - 2 * lcp(a, b).
 """
@@ -75,41 +77,6 @@ def word_to_str(letters: tuple, rank: int) -> str:
     if rank <= 26:
         return "".join(chr(ord("a") + x - 1) if x > 0 else chr(ord("A") - x - 1) for x in letters)
     return " ".join(f"g{x}" if x > 0 else f"G{-x}" for x in letters)
-
-
-def word_from_str(text: str, rank: int) -> tuple:
-    """The signed generator indices of a spelled word.  Reads the ids
-    word_to_str gives and looser spellings of them: surrounding space, ""
-    and "1" for the identity at every rank, g/G tokens at rank <= 26.
-    ValueError if the text is malformed, a letter is out of the rank or the
-    word is not freely reduced."""
-    if rank < 1:
-        raise ValueError("rank must be >= 1")
-    text = text.strip()
-    if text == "" or text == "1" or (text == "e" and rank <= 4):
-        return ()
-    letters = []
-    if rank > 26 or " " in text or (text[0] in "gG" and text[1:].isdigit()):
-        for tok in text.split():
-            if len(tok) < 2 or tok[0] not in "gG" or not tok[1:].isdigit():
-                raise ValueError(f"bad word token {tok!r}")
-            i = int(tok[1:])
-            letters.append(i if tok[0] == "g" else -i)
-    else:
-        for ch in text:
-            if "a" <= ch <= "z":
-                letters.append(ord(ch) - ord("a") + 1)
-            elif "A" <= ch <= "Z":
-                letters.append(-(ord(ch) - ord("A") + 1))
-            else:
-                raise ValueError(f"bad word character {ch!r} in {text!r}")
-    for x in letters:
-        if x == 0 or abs(x) > rank:
-            raise ValueError(f"letter {x} out of range for rank {rank}")
-    for a, b in zip(letters, letters[1:]):
-        if a == -b:
-            raise ValueError("word is not freely reduced")
-    return tuple(letters)
 
 
 # -- Cayley graph over serialized ids ---------------------------------------
@@ -220,6 +187,26 @@ class CayleyGraph(ImplicitGraph):
 
     # validating an id is computing its key
     _require_vertex = path_key
+
+    def read_id(self, text: str) -> str:
+        """The id of a word as a measure file may spell it: the id itself,
+        "1" or blank text for the identity, or g/G tokens at any rank (with
+        leading zeros or any decimal digits int reads, so "g01" is "a" at
+        rank 2).  Raises VertexIdError if the text spells no reduced word of
+        the rank (ValueError for an index too long for int to read)."""
+        text = text.strip()
+        if text in ("", "1"):
+            return self.empty_id
+        if self._sep or " " in text or (text[0] in "gG" and text[1:].isdecimal()):
+            letters = []
+            for tok in text.split():
+                i = int(tok[1:]) if tok[0] in "gG" and tok[1:].isdecimal() else 0
+                if not 0 < i <= self.rank:
+                    raise VertexIdError(f"{tok!r} is not a generator token of rank {self.rank}")
+                letters.append(i if tok[0] == "g" else -i)
+            text = word_to_str(letters, self.rank)
+        self.path_key(text)
+        return text
 
     def key_id(self, key) -> str:
         """The vertex id whose `path_key` is key."""

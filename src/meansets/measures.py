@@ -243,11 +243,14 @@ def parse_measure(text: str, vertex_parser=None, multi_token: bool = False) -> A
     """Parse 'vertex mass' lines into a normalized measure.
 
     vertex_parser maps the vertex token to a vertex id (default: int when the
-    token looks like an integer, else the raw string).  With multi_token the
+    token looks like an integer, else the raw string); a ValueError or
+    VertexIdError it raises becomes a MeasureFormatError that names the
+    line.  With multi_token the
     vertex is every field before the mass, joined by single spaces, as in
     the free-group word "g1 g2" above rank 26; otherwise a line has exactly
     two fields.
     """
+    parse = vertex_parser or (lambda tok: int(tok) if tok.lstrip("-").isdigit() else tok)
     masses: dict = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -258,13 +261,10 @@ def parse_measure(text: str, vertex_parser=None, multi_token: bool = False) -> A
         if len(parts) != 2:
             raise MeasureFormatError(f"line {lineno}: expected 'vertex mass', got {raw!r}")
         token, mass_tok = parts
-        if vertex_parser is not None:
-            try:
-                v = vertex_parser(token)
-            except ValueError as exc:
-                raise MeasureFormatError(f"line {lineno}: bad vertex {token!r}: {exc}") from None
-        else:
-            v = int(token) if token.lstrip("-").isdigit() else token
+        try:
+            v = parse(token)
+        except (ValueError, VertexIdError) as exc:
+            raise MeasureFormatError(f"line {lineno}: bad vertex {token!r}: {exc}") from None
         mass = parse_mass(mass_tok)
         masses[v] = masses.get(v, 0) + mass
     if not masses:

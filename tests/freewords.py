@@ -2,13 +2,14 @@
 letter tuples with their own product, word metric, neighbours and sphere
 count, and enumerations of spheres and balls.  The package computes all of
 these on vertex ids (`CayleyGraph.path_key`, `distance`, `neighbors`,
-`multiply`); this model is the oracle they are checked against.  Words and
-ids meet only through the package's codec, `word_to_str`/`word_from_str`."""
+`multiply`); this model is the oracle they are checked against.  It reads
+ids with its own parser, `parse_word`, and shares only the package's
+writer, `word_to_str`."""
 
 from dataclasses import dataclass
 from itertools import product
 
-from meansets.freegroup import word_from_str, word_to_str
+from meansets.freegroup import word_to_str
 
 
 @dataclass(frozen=True, slots=True)
@@ -46,9 +47,14 @@ def word_id(w: ReducedWord) -> str:
     return word_to_str(w.letters, w.rank)
 
 
-def parse_word(text: str, rank: int) -> ReducedWord:
-    """The word a vertex id (or any spelling word_from_str reads) names."""
-    return ReducedWord(rank, word_from_str(text, rank))
+def parse_word(vid: str, rank: int) -> ReducedWord:
+    """The word a vertex id names: letters a..z and A..Z up to rank 26,
+    space-separated g/G tokens above, and "e" or "1" for the identity."""
+    if vid == ("e" if rank <= 4 else "1"):
+        return identity(rank)
+    if rank <= 26:
+        return ReducedWord(rank, [ord(c) - 96 if c.islower() else 64 - ord(c) for c in vid])
+    return ReducedWord(rank, [int(t[1:]) if t[0] == "g" else -int(t[1:]) for t in vid.split(" ")])
 
 
 def identity(rank: int) -> ReducedWord:

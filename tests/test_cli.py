@@ -5,8 +5,9 @@ import pytest
 
 from meansets import experiments
 from meansets.cli import main
+from meansets.errors import VertexIdError
 from meansets.experiments import derive_seed
-from meansets.freegroup import CayleyGraph, word_from_str, word_to_str
+from meansets.freegroup import CayleyGraph
 from meansets.measures import AtomicMeasure
 from meansets.multivertex import simulate_walk
 
@@ -121,16 +122,19 @@ class TestMeansetCommand:
         (2, "g1 G2", "aB"), (2, " ab ", "ab"), (27, " g1  g2 ", "g1 g2"),
         (26, "g26", "z"), (26, "G26 g3", "Zc"), (27, "g26", "g26"), (27, "z", None),
         (26, "g27", None), (27, "g28", None), (2, "aA", None), (27, "g3 G3", None),
+        (2, "g01", "a"), (27, "g027", "g27"), (3, "g\u0663", "c"),  # ARABIC-INDIC DIGIT THREE
+        (2, "g99999999999", None), (27, "g99999999999", None), (27, "G0", None),
+        (2, "g1 b", None),
     ]
 
     @pytest.mark.parametrize("rank, text, vid", SPELLINGS)
     def test_measure_spellings(self, capsys, tmp_path, rank, text, vid):
         # the one canonicaliser the measure reader applies to each vertex
         if vid is None:
-            with pytest.raises(ValueError):
-                word_from_str(text, rank)
+            with pytest.raises(VertexIdError):
+                CayleyGraph(rank).read_id(text)
         else:
-            assert word_to_str(word_from_str(text, rank), rank) == vid
+            assert CayleyGraph(rank).read_id(text) == vid
         if text.strip() != text or not text:
             return  # a measure file's fields carry no surrounding space
         measure = tmp_path / "mu.txt"

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from meansets.errors import VertexIdError
-from meansets.freegroup import CayleyGraph, sample_sphere, word_from_str, word_to_str
+from meansets.freegroup import CayleyGraph, sample_sphere, word_to_str
 from meansets.randomgen import random_word
 
 from freewords import (
@@ -78,10 +78,11 @@ class TestMultiply:
             CayleyGraph(27).multiply("g28", "1")
 
     def test_unreduced_letters_rejected(self):
-        with pytest.raises(ValueError, match="^word is not freely reduced$"):
-            word_from_str("aA", 2)
-        with pytest.raises(ValueError, match="^letter 3 out of range for rank 2$"):
-            word_from_str("c", 2)
+        g = CayleyGraph(2)
+        with pytest.raises(VertexIdError, match="^'aA' is not the id of a reduced word of rank 2$"):
+            g.read_id("aA")
+        with pytest.raises(VertexIdError, match="^'c' is not the id of a reduced word of rank 2$"):
+            g.read_id("c")
 
     @pytest.mark.parametrize("rank", RANKS)
     def test_matches_word_product(self, rank):
@@ -159,7 +160,7 @@ class TestSampleSphere:
     def test_exact_length_and_reduced(self):
         rng = random.Random(5)
         for _ in range(300):
-            w = word_from_str(sample_sphere(2, 7, rng), 2)  # revalidates free reduction
+            w = parse_word(sample_sphere(2, 7, rng), 2)  # revalidates free reduction
             assert len(w) == 7
 
     def test_rank2_length1_frequencies(self):
@@ -229,36 +230,45 @@ class TestCayleyNeighbors:
 
 class TestSerialization:
     def test_examples(self):
-        assert word_to_str(word_from_str("abA", 2), 2) == "abA"
+        assert CayleyGraph(2).read_id("abA") == "abA"
         assert word_to_str((), 2) == "e"
-        assert word_from_str("e", 4) == ()
+        assert CayleyGraph(4).read_id("e") == "e"
+        assert parse_word("e", 4) == identity(4)
 
     def test_roundtrip_random(self):
         rng = random.Random(99)
-        for rank in (1, 2, 4, 5, 26):
+        for rank in (1, 2, 4, 5, 26, 27):
+            g = CayleyGraph(rank)
             for _ in range(40):
                 w = random_word(rng, rank, 6)
-                assert word_from_str(word_to_str(w, rank), rank) == w
+                vid = word_to_str(w, rank)
+                assert g.read_id(vid) == vid
+                assert parse_word(vid, rank).letters == w
 
     def test_rank5_empty_spelling_avoids_generator_e(self):
         # letter e is generator 5 from rank 5 on, so the empty word moves to "1"
+        g = CayleyGraph(5)
         assert word_to_str((5,), 5) == "e"
-        assert word_from_str("e", 5) == (5,)
+        assert g.read_id("e") == "e" and parse_word("e", 5).letters == (5,)
         assert word_to_str((), 5) == "1"
-        assert word_from_str("1", 5) == ()
+        assert g.read_id("1") == "1" and parse_word("1", 5) == identity(5)
 
     def test_token_syntax_high_rank(self):
+        g = CayleyGraph(30)
         assert word_to_str((3, -7, 28), 30) == "g3 G7 g28"
-        assert word_from_str("g3 G7 g28", 30) == (3, -7, 28)
-        assert word_from_str("1", 30) == ()
+        assert g.read_id("g3 G7 g28") == "g3 G7 g28"
+        assert parse_word("g3 G7 g28", 30).letters == (3, -7, 28)
+        assert g.read_id("1") == "1"
 
     @pytest.mark.parametrize("text", ["e", "abc", "Z", "g1 b"])
     def test_high_rank_reads_only_tokens(self, text):
         # above rank 26 word_to_str writes g/G tokens, never letters
-        with pytest.raises(ValueError):
-            word_from_str(text, 27)
+        with pytest.raises(VertexIdError):
+            CayleyGraph(27).read_id(text)
 
-    @pytest.mark.parametrize("rank, text, message", [
+    # each row names the fault that keeps the text from spelling a word;
+    # the error names the text and the rank
+    @pytest.mark.parametrize("rank, text, fault", [
         (1, "ab", "letter 2 out of range for rank 1"),
         (26, "G27", "letter -27 out of range for rank 26"),
         (27, "g28", "letter 28 out of range for rank 27"),
@@ -270,17 +280,23 @@ class TestSerialization:
         (26, "zZ", "word is not freely reduced"),
         (27, "g3 G3", "word is not freely reduced"),
         (2, "g1 G1", "word is not freely reduced"),
-        (0, "e", "rank must be >= 1"),
     ])
-    def test_range_and_reduction(self, rank, text, message):
-        with pytest.raises(ValueError, match=f"^{message}$"):
-            word_from_str(text, rank)
+    def test_range_and_reduction(self, rank, text, fault):
+        with pytest.raises(VertexIdError, match=f"^'[^']+' is not .* of rank {rank}$"):
+            CayleyGraph(rank).read_id(text)
+
+    def test_rank_zero_rejected(self):
+        with pytest.raises(ValueError, match="^rank must be >= 1$"):
+            CayleyGraph(0)
 
     def test_bad_input(self):
-        with pytest.raises(ValueError):
-            word_from_str("a3b", 2)
-        with pytest.raises(ValueError):
-            word_from_str("c", 2)  # letter out of rank
+        g = CayleyGraph(2)
+        with pytest.raises(VertexIdError):
+            g.read_id("a3b")
+        with pytest.raises(VertexIdError):
+            g.read_id("c")  # letter out of rank
+        with pytest.raises(VertexIdError, match="^'g3' is not a generator token of rank 2$"):
+            g.read_id("g1 g3")
 
 
 class TestStringLcp:
@@ -408,7 +424,7 @@ class TestCayleyGraph:
     def test_prefixes_accept_canonical_ids(self, rank, vid):
         g = CayleyGraph(rank)
         key = g.path_key(vid)
-        w = word_from_str(vid, rank)
+        w = parse_word(vid, rank).letters
         assert [g.key_id(key[:k]) for k in range(1, len(w) + 1)] == [
             word_to_str(w[:k], rank) for k in range(1, len(w) + 1)
         ]

@@ -7,7 +7,7 @@ from math import lcm
 import pytest
 
 from meansets.errors import MeasureFormatError, RankMismatchError, VertexIdError
-from meansets.freegroup import CayleyGraph, word_from_str, word_to_str
+from meansets.freegroup import CayleyGraph, word_to_str
 from meansets.measures import (
     _CHUNK,
     AtomicMeasure,
@@ -281,12 +281,12 @@ class TestShift:
 
     def test_word_object_atom_rejected(self):
         # atoms are vertex ids; a tuple of letters is not one
-        mu = AtomicMeasure.from_masses({word_from_str("b", 2): 1})
+        mu = AtomicMeasure.from_masses({(2,): 1})
         with pytest.raises(RankMismatchError):
             shift(mu, "a", self.F2)
 
     @pytest.mark.parametrize("rank, atoms", [
-        (2, {"g1": 1, " b ": 1}),  # spellings word_from_str reads, but no ids
+        (2, {"g1": 1, " b ": 1}),  # spellings read_id reads, but no ids
         (2, {"a": 1, "g1": 1}),
         (2, {" b ": 1}),
         (4, {"1": 1}),  # the identity is "e" up to rank 4
@@ -343,6 +343,20 @@ class TestParsing:
         with pytest.raises(MeasureFormatError) as exc:
             parse_measure("0 1\n\t1 2 3 # tail \n")
         assert str(exc.value) == "line 2: expected 'vertex mass', got '\\t1 2 3 # tail '"
+
+    def test_default_vertex_parser_error_names_the_line(self):
+        # the default parser reads "--5" as an integer, which int rejects
+        with pytest.raises(MeasureFormatError, match="^line 2: bad vertex '--5': "):
+            parse_measure("0 1\n--5 1\n")
+
+    @pytest.mark.parametrize("token, reason", [
+        ("aA", "'aA' is not the id of a reduced word of rank 2"),
+        ("g99999999999", "'g99999999999' is not a generator token of rank 2"),
+        ("g" + "1" * 5000, ""),  # int may refuse an index this long: ValueError
+    ])
+    def test_word_reader_error_names_the_line(self, token, reason):
+        with pytest.raises(MeasureFormatError, match=f"^line 2: bad vertex '.*': {reason}"):
+            parse_measure(f"a 1\n{token} 1\n", vertex_parser=CayleyGraph(2).read_id)
 
     def test_multi_token_vertex(self):
         mu = parse_measure("g1 g2 1\ng3  1/2\n", multi_token=True)
