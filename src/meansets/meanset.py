@@ -43,10 +43,10 @@ class MeanSetResult:
     """Argmin vertices plus the exact minimal weight.
 
     `steps` counts the solver's work: the vertices scanned by the exact
-    scan (all of them) and the bounded scan (the certified ball, 0 for a
-    point mass), and the moves from the root to the mean-set for the tree
-    descent.  The line solver reads only the atoms but reports the size of
-    the support's hull, the vertices a scan of the line would score.
+    scan (all of them) and the bounded scan (the certified ball), and the
+    moves from the root to the mean-set for the tree descent.  The line
+    solver reads only the atoms but reports the size of the support's
+    hull, the vertices a scan of the line would score.
     """
 
     vertices: frozenset
@@ -266,42 +266,28 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
 def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     """Mean-set of a finitely supported measure on an implicit graph.
 
-    Let v be the heaviest atom.  Choose the smallest radius r whose ball
-    around v carries at least half of W_c(v):
+    Let v be the heaviest atom (ties broken by vertex order), T the total
+    mass and S1 = sum over atoms s of d(v, s) * mu(s) = W_1(v).  For a
+    vertex u at distance D from v, every atom has d(u, s) >= |D - d(v, s)|,
+    so
 
-        2 * sum over atoms s with d(v, s) <= r of d(v, s)^c * mu(s)  >=  W_c(v).
+        W_2(u) >= T * D^2 - 2 * D * S1 + W_2(v),
+        W_1(u) >= T * D - S1,
 
-    Every vertex u with d(u, v) >= 3r (class 2; 4r for class 1) then
-    satisfies W_c(u) > W_c(v), so scanning the ball of that radius is an
-    exhaustive search for the argmin set.  Every atom must be a vertex of
+    and in either class W_c(u) <= W_c(v) forces D <= 2 * S1 / T.  The ball of
+    radius floor(2 * S1 / T) around v therefore holds the argmin set in both
+    classes, and scanning it is an exhaustive search; a point mass has
+    S1 = 0, so its ball is the atom alone.  Every atom must be a vertex of
     the graph (`VertexIdError` on a free group, `UnreachableAtomError` on
     an explicit graph), checked before any distance is taken.
     """
     _check_class(c)
-    support = mu.support()
-    _require_atoms(g, support)
-    if len(support) == 1:
-        return MeanSetResult(
-            vertices=frozenset(support),
-            min_weight=Fraction(0),
-            class_c=c,
-            method="bounded",
-            steps=0,
-        )
     denom, nums = mu.numerators()
-    v = min(support, key=lambda s: (-nums[s], s))
+    _require_atoms(g, nums)
+    v = min(nums, key=lambda s: (-nums[s], s))
     columns = [(g.distances(s), m) for s, m in nums.items()]
-    dist_to_atom = {s: dist(v) for s, (dist, _) in zip(nums, columns)}
-    total = sum(dist_to_atom[s] ** c * m for s, m in nums.items())
-    acc = 0
-    r = 0
-    for s in sorted(support, key=lambda s: dist_to_atom[s]):
-        if 2 * acc >= total:
-            break
-        r = dist_to_atom[s]
-        acc += r ** c * nums[s]
-    radius = 3 * r if c == 2 else 4 * r
-    ball = sorted(g.ball(v, radius))
+    first = sum(dist(v) * m for dist, m in columns)
+    ball = sorted(g.ball(v, 2 * first // denom))
     weights = [sum(dist(u) ** c * m for dist, m in columns) for u in ball]
     return _argmin(ball, weights, denom, c, "bounded")
 

@@ -223,7 +223,11 @@ class TestMeansetCommand:
         ("0 1\n1 2\n2 3\n3 4\n", "0 1\n4 1\n", [],
          {"class": 2, "method": "exact", "min_weight": "4/1", "steps": 5, "vertices": [2]}),
         ("0 1\n1 2\n2 3\n3 4\n4 5\n5 6\n6 7\n7 8\n8 9\n", "0 3\n1 1\n", ["--method", "bounded"],
-         {"class": 2, "method": "bounded", "min_weight": "1/4", "steps": 4, "vertices": [0]}),
+         {"class": 2, "method": "bounded", "min_weight": "1/4", "steps": 1, "vertices": [0]}),
+        ("0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n", "0 3\n2 1\n3 2\n",
+         ["--method", "bounded", "--class", "1"],
+         {"class": 1, "method": "bounded", "min_weight": "4/3", "steps": 5,
+          "vertices": [0, 1, 2]}),
         ("0 1\n1 2\n2 3\n3 4\n1 5\n5 6\n4 7\n", "7 3\n6 1\n0 2\n", ["--method", "descent"],
          {"class": 2, "method": "descent", "min_weight": "22/3", "steps": 3, "vertices": [2]}),
         (4, "ab 2\naB 1\nA 1\nabab 2\n", [],
@@ -237,8 +241,9 @@ class TestMeansetCommand:
         (27, "g3 G2 g3 5\n", [],
          {"class": 2, "method": "descent", "min_weight": "0/1", "steps": 0,
           "vertices": ["g3 G2 g3"]}),
-    ], ids=["exact-path5", "bounded-path10", "descent-tree", "free-rank-4", "free-rank-4-class-1",
-            "free-rank-27", "free-rank-4-point-mass", "free-rank-27-point-mass"])
+    ], ids=["exact-path5", "bounded-path10", "bounded-cycle6-class-1", "descent-tree",
+            "free-rank-4", "free-rank-4-class-1", "free-rank-27", "free-rank-4-point-mass",
+            "free-rank-27-point-mass"])
     def test_payload_contract(self, capsys, tmp_path, instance, measure, options, payload):
         # steps is V for the exact scan, the ball size for the bounded scan,
         # the descent's moves on an explicit tree, and on a free group the

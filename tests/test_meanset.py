@@ -22,6 +22,7 @@ from meansets.graphs import (
 )
 from meansets.measures import AtomicMeasure, empirical, shift
 from meansets.meanset import (
+    _argmin,
     classical_mean_gap,
     line_mean_set,
     mean_set_bounded,
@@ -33,6 +34,7 @@ from meansets.meanset import (
 )
 from meansets.randomgen import (
     random_connected_graph,
+    random_cutpoint_graph,
     random_integer_measure,
     random_measure,
     random_tree,
@@ -265,6 +267,7 @@ class TestMeanSetBounded:
         res = mean_set_bounded(g, AtomicMeasure.point_mass("ab"), 2)
         assert res.vertices == frozenset(["ab"])
         assert res.min_weight == 0
+        assert res.steps == 1
 
     def test_uniform_three_words(self):
         g = CayleyGraph(2)
@@ -285,14 +288,16 @@ class TestMeanSetBounded:
         assert res.vertices == frozenset(["e"])
         assert res.min_weight == best == Fraction(2, 3)
 
-    def test_agrees_with_exact_on_implicit_trees(self):
+    @pytest.mark.parametrize("shape", [random_tree, random_connected_graph,
+                                       random_cutpoint_graph])
+    def test_agrees_with_exact_on_implicit_graphs(self, shape):
         rng = random.Random(88)
         for _ in range(40):
-            tree = random_tree(rng, 14)
-            mu = random_measure(tree.vertices(), rng)
+            g = shape(rng, 14)
+            mu = random_measure(g.vertices(), rng)
             for c in (1, 2):
-                res = mean_set_bounded(as_implicit(tree), mu, c)
-                exact = mean_set_exact(tree, mu, c)
+                res = mean_set_bounded(as_implicit(g), mu, c)
+                exact = mean_set_exact(g, mu, c)
                 assert res.vertices == exact.vertices
                 assert res.min_weight == exact.min_weight
 
@@ -320,40 +325,73 @@ class TestMeanSetBounded:
         mu = AtomicMeasure.from_masses({(0, 0): 2, (3, 1): 1, (-2, 4): 1})
         res = mean_set_bounded(ImplicitGraph(neighbors), mu, 2)
         assert res.vertices == frozenset([(0, 1)]) and res.min_weight == 9
-        assert res.steps == len(grid.ball((0, 0), 18))
+        assert res.steps == len(grid.ball((0, 0), 5))
         assert calls <= 2 * (len(mu.support()) + 1) * res.steps
 
     def test_generous_ball_rescan(self):
-        # recompute the half-mass radius independently, then scan a ball
-        # larger by three extra steps: the argmin set must not change
+        # scan a ball three steps larger than the half-weight certificate's:
+        # the argmin set must not change
         rng = random.Random(89)
         for _ in range(25):
             tree = random_tree(rng, 10)
             mu = random_measure(tree.vertices(), rng)
             g = as_implicit(tree)
-            res = mean_set_bounded(g, mu, 2)
             support = mu.support()
-            v = min(support, key=lambda s: (-mu[s], s))
-            total = sum((Fraction(g.distance(v, s)) ** 2 * mu[s] for s in support),
-                        Fraction(0))
-            acc = Fraction(0)
-            r = 0
-            for s in sorted(support, key=lambda s: g.distance(v, s)):
-                if 2 * acc >= total:
-                    break
-                r = g.distance(v, s)
-                acc += Fraction(g.distance(v, s)) ** 2 * mu[s]
-            best = None
-            best_vs = []
-            for u in sorted(g.ball(v, 3 * r + 3)):
-                val = sum((Fraction(g.distance(u, s)) ** 2 * mu[s] for s in support),
-                          Fraction(0))
-                if best is None or val < best:
-                    best, best_vs = val, [u]
-                elif val == best:
-                    best_vs.append(u)
-            assert res.vertices == frozenset(best_vs)
-            assert res.min_weight == best
+            for c in (1, 2):
+                res = mean_set_bounded(g, mu, c)
+                v, radius = half_weight_certificate(g, mu, c)
+                best = None
+                best_vs = []
+                for u in sorted(g.ball(v, radius + 3)):
+                    val = sum((Fraction(g.distance(u, s)) ** c * mu[s] for s in support),
+                              Fraction(0))
+                    if best is None or val < best:
+                        best, best_vs = val, [u]
+                    elif val == best:
+                        best_vs.append(u)
+                assert res.vertices == frozenset(best_vs)
+                assert res.min_weight == best
+
+    def test_ball_within_half_weight_certificate_on_grid(self):
+        # the scanned ball is never larger than the half-weight certificate's
+        # ball around the same atom, and scanning that ball finds the same
+        # argmin
+        grid = integer_grid()
+        rng = random.Random(91)
+        for _ in range(12):
+            n = rng.randint(2, 6)
+            atoms = {(rng.randint(-5, 5), rng.randint(-5, 5)) for _ in range(n)}
+            mu = AtomicMeasure.from_masses({s: rng.randint(1, 9) for s in atoms})
+            denom, nums = mu.numerators()
+            for c in (1, 2):
+                res = mean_set_bounded(grid, mu, c)
+                v, radius = half_weight_certificate(grid, mu, c)
+                ball = sorted(grid.ball(v, radius))
+                weights = [sum(grid.distance(u, s) ** c * m for s, m in nums.items())
+                           for u in ball]
+                old = _argmin(ball, weights, denom, c, "bounded")
+                assert res.steps <= len(ball)
+                assert res.vertices == old.vertices
+                assert res.min_weight == old.min_weight
+
+
+def half_weight_certificate(g, mu: AtomicMeasure, c: int):
+    """The half-weight radius certificate, kept as an oracle for the ball
+    scan: around the heaviest atom v (ties broken by vertex order), the
+    smallest r whose ball carries at least half of W_c(v), then the ball of
+    radius 3r (class 2) or 4r (class 1) holds the argmin.  Returns v and
+    that radius."""
+    support = mu.support()
+    v = min(support, key=lambda s: (-mu[s], s))
+    total = sum((Fraction(g.distance(v, s)) ** c * mu[s] for s in support), Fraction(0))
+    acc = Fraction(0)
+    r = 0
+    for s in sorted(support, key=lambda s: g.distance(v, s)):
+        if 2 * acc >= total:
+            break
+        r = g.distance(v, s)
+        acc += Fraction(r) ** c * mu[s]
+    return v, 3 * r if c == 2 else 4 * r
 
 
 def reference_descent(g, mu: AtomicMeasure, c: int, start=None):
@@ -766,8 +804,6 @@ class TestConfigurationConstraints:
             assert res.vertices != frozenset([0, 2])
 
     def test_cut_point_weight_exclusion(self):
-        from meansets.randomgen import random_cutpoint_graph
-
         rng = random.Random(99)
         for _ in range(40):
             g = random_cutpoint_graph(rng, 10)
@@ -785,8 +821,6 @@ class TestConfigurationConstraints:
                                 )
 
     def test_mean_set_confined_by_cut_point(self):
-        from meansets.randomgen import random_cutpoint_graph
-
         rng = random.Random(98)
         for _ in range(40):
             g = random_cutpoint_graph(rng, 10)
