@@ -50,7 +50,6 @@ from .meanset import (
 from .multivertex import (
     PositivityReport,
     WalkResult,
-    WalkState,
     dimension_invariance_check,
     first_moment,
     genuine_dimension,

@@ -163,8 +163,7 @@ def _cmd_walk(args) -> int:
     incs = increments(g, mu, base, others, validate=False)
     hypotheses = positivity_hypotheses(incs, mu, base)
     rng = random.Random(derive_seed(args.seed, "walk"))
-    # the payload reports no trace, so keep only the start and the end
-    walk = simulate_walk(incs, args.steps, rng, trace_every=args.steps)
+    walk = simulate_walk(incs, args.steps, rng)
     payload = {
         "mean_set": sorted(meanset),
         "base": base,
@@ -175,7 +174,7 @@ def _cmd_walk(args) -> int:
             "has_positive_vector": hypotheses.has_positive_vector,
             "mu_base_positive": hypotheses.mu_base_positive,
         },
-        "steps": walk.steps,
+        "steps": args.steps,
         "orthant_visits": walk.orthant_visits,
         "last_visit": walk.last_visit,
     }

@@ -34,18 +34,10 @@ _BLOCK = 1024  # walk steps per block of simulate_walk
 
 
 @dataclass(frozen=True)
-class WalkState:
-    step: int
-    position: tuple
-
-
-@dataclass(frozen=True)
 class WalkResult:
-    steps: int
     orthant_visits: int
     last_visit: int | None
     final_position: tuple
-    trace: tuple  # thinned WalkState history
 
 
 @dataclass(frozen=True)
@@ -69,14 +61,14 @@ def increments(
     """Increment law of the walk associated with the base vertex: a measure
     on coordinate tuples, whose support is sorted by coordinates.
 
-    base plus others must be exactly the mean-set of mu; atoms with equal
-    increments add their masses.
+    base plus others must be exactly the mean-set of mu, each vertex once;
+    atoms with equal increments add their masses.
     """
     others = list(others)
     if validate:
-        claimed = frozenset([base, *others])
+        claimed = [base, *others]
         solved = measure_mean_set(g, mu, 2).vertices
-        if claimed != solved:
+        if len(claimed) != len(solved) or frozenset(claimed) != solved:
             raise NotMeanSetError(
                 f"claimed mean-set {sorted(claimed)!r} but solver found {sorted(solved)!r}"
             )
@@ -222,14 +214,12 @@ def simulate_walk(
     incs: AtomicMeasure,
     steps: int,
     rng: random.Random,
-    trace_every: int = 100,
 ) -> WalkResult:
     """Simulate the walk whose steps incs gives (an increment law as
-    `increments` returns it) and report nonnegative-orthant visit statistics.
-
-    The trace is thinned to every trace_every-th state to bound memory; the
-    visit count and last-visit step are exact over all steps.  Recurrence is
-    an asymptotic property, so the result is descriptive only.
+    `increments` returns it) and report nonnegative-orthant visit statistics:
+    the visit count, the last-visit step and the final position, exact over
+    all steps.  Recurrence is an asymptotic property, so the result is
+    descriptive only.
 
     A position is one int: coordinates 0..dim-2 sit in width-bit fields
     biased by 2**(width-1), the last coordinate unbiased on top, and width
@@ -242,16 +232,14 @@ def simulate_walk(
     measures.draw does, gathers their packed ints in one itemgetter call
     (led by the never-drawn index 0, whose packed int is 0, so the call
     returns a tuple even for one step), adds them up in one running sum
-    and unpacks positions only for the trace and the end.  A block whose
-    positions are all negative ints is not tested: each has a negative
-    last coordinate, so none is in the orthant, in every dimension.  The
-    result, and the state rng is left in, equal those of one randrange
-    call per step, in O(_BLOCK) memory.
+    and unpacks a position only at the end.  A block whose positions are
+    all negative ints is not tested: each has a negative last coordinate,
+    so none is in the orthant, in every dimension.  The result, and the
+    state rng is left in, equal those of one randrange call per step, in
+    O(_BLOCK) memory.
     """
     if steps < 1:
         raise ValueError("need steps >= 1")
-    if trace_every < 1:
-        raise ValueError("need trace_every >= 1")
     support = incs.support()
     dim = _dimension(support)
     draw = _atom_sampler(incs, rng)
@@ -265,13 +253,9 @@ def simulate_walk(
     mask = high | 1 << width * dim  # q & mask == high iff no coordinate is negative
     packed = [0, *(sum(map(lshift, coords, shifts)) for coords in support)]
 
-    def position(q: int) -> tuple:
-        return tuple([(q >> s & field) - bias for s in low] + [q >> s for s in top])
-
     q = high
     visits = 0
     last_visit = None
-    trace = [WalkState(step=0, position=position(q))]
     for start in range(0, steps, _BLOCK):
         size = min(_BLOCK, steps - start)
         qs = list(accumulate(itemgetter(0, *draw(size))(packed), initial=q))
@@ -282,16 +266,9 @@ def simulate_walk(
             if hits:
                 visits += hits
                 last_visit = start + size - flags[::-1].index(high)
-        first = (start // trace_every + 1) * trace_every
-        trace += [
-            WalkState(step=n, position=position(qs[n - start - 1]))
-            for n in range(first, start + size + 1, trace_every)
-        ]
         q = qs[-1]
     return WalkResult(
-        steps=steps,
         orthant_visits=visits,
         last_visit=last_visit,
-        final_position=position(q),
-        trace=tuple(trace),
+        final_position=tuple([(q >> s & field) - bias for s in low] + [q >> s for s in top]),
     )

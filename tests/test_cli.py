@@ -290,7 +290,7 @@ class TestWalkCommand:
         assert payload["hypotheses"]["has_positive_vector"] is True
         assert payload["steps"] == 2000
         assert 0 <= payload["orthant_visits"] <= 2000
-        # the walk's statistics do not depend on how its trace is thinned
+        # the counts are those of a direct simulate_walk call on the same law
         incs = AtomicMeasure.uniform([(-3,), (3,)])
         rng = random.Random(derive_seed(5, "walk"))
         walk = simulate_walk(incs, 2000, rng)

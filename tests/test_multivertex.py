@@ -3,18 +3,18 @@ from bisect import bisect_right
 from collections import defaultdict
 from fractions import Fraction
 from itertools import accumulate, product
-from math import lcm
+from math import comb, lcm, sqrt
 
 import pytest
 
 from meansets.errors import NotMeanSetError, UnreachableVertexError
+from meansets.experiments import derive_seed
 from meansets.graphs import integer_line, path_graph, star_graph
 from meansets.measures import AtomicMeasure, _increment_sampler
 from meansets.meanset import mean_set_exact, weight
 from meansets.multivertex import (
     _BLOCK,
     WalkResult,
-    WalkState,
     dimension_invariance_check,
     first_moment,
     genuine_dimension,
@@ -96,8 +96,9 @@ def bounded_lattice_search(vectors):
     return None
 
 
-def reference_walk(law, steps, rng, trace_every=100):
-    """Independent oracle: the walk one randrange call per step."""
+def reference_walk(law, steps, rng, positions=None):
+    """Independent oracle: the walk one randrange call per step; positions,
+    when given, is a list that gets the position after every step."""
     atoms = law.items()
     dim = len(atoms[0][0])
     denom = lcm(*(p.denominator for _, p in atoms))
@@ -105,7 +106,6 @@ def reference_walk(law, steps, rng, trace_every=100):
     position = [0] * dim
     visits = 0
     last_visit = None
-    trace = [WalkState(step=0, position=tuple(position))]
     for n in range(1, steps + 1):
         step_vec = atoms[bisect_right(cum, rng.randrange(denom))][0]
         for i in range(dim):
@@ -113,15 +113,31 @@ def reference_walk(law, steps, rng, trace_every=100):
         if all(x >= 0 for x in position):
             visits += 1
             last_visit = n
-        if n % trace_every == 0:
-            trace.append(WalkState(step=n, position=tuple(position)))
+        if positions is not None:
+            positions.append(tuple(position))
     return WalkResult(
-        steps=steps,
         orthant_visits=visits,
         last_visit=last_visit,
         final_position=tuple(position),
-        trace=tuple(trace),
     )
+
+
+def orthant_visit_law(incs, steps):
+    """Exact law {visits: probability} of the number of orthant visits in
+    the first `steps` steps of a one-dimensional walk: a DP over (position,
+    visits) in integer counts over denom**steps."""
+    denom, nums = incs.numerators()
+    counts = {(0, 0): 1}
+    for _ in range(steps):
+        stepped = defaultdict(int)
+        for (x, v), c in counts.items():
+            for (dx,), m in nums.items():
+                stepped[x + dx, v + (x + dx >= 0)] += c * m
+        counts = stepped
+    law = defaultdict(int)
+    for (_, v), c in counts.items():
+        law[v] += c
+    return {v: Fraction(c, denom**steps) for v, c in law.items()}
 
 
 def reference_increments(g, mu, base, others):
@@ -153,6 +169,13 @@ def iv(*steps):
 TWO_POINT_LINE = (integer_line(), AtomicMeasure.uniform([0, 1]), 0, [1])
 
 
+def two_point_line_increments():
+    """The walk of the two-point line on path(2): steps -1 and +1 w.p. 1/2."""
+    incs = increments(path_graph(2), AtomicMeasure.uniform([0, 1]), 0, [1])
+    assert incs.items() == [((-1,), Fraction(1, 2)), ((1,), Fraction(1, 2))]
+    return incs
+
+
 class TestIncrements:
     def test_two_point_line(self):
         g, mu, base, others = TWO_POINT_LINE
@@ -179,6 +202,13 @@ class TestIncrements:
         g, mu, *_ = TWO_POINT_LINE
         with pytest.raises(NotMeanSetError):
             increments(g, mu, 0, [2])
+        # {1, 2} is the mean-set, but a repeated vertex, or the base among
+        # the others, would build a walk of the wrong dimension
+        g, mu = path_graph(4), AtomicMeasure.uniform([0, 3])
+        assert mean_set_exact(g, mu, 2).vertices == frozenset([1, 2])
+        for others in ([2, 2], [1, 2]):
+            with pytest.raises(NotMeanSetError):
+                increments(g, mu, 1, others)
 
     def test_unvalidated_non_vertex_raises(self):
         # distances are lookups into per-atom BFS columns: a vertex that no
@@ -450,24 +480,39 @@ class TestSimulateWalk:
         g = path_graph(3)
         mu = AtomicMeasure.uniform([0, 1, 2])
         incs = increments(g, mu, 1, [])
-        res = simulate_walk(incs, 2500, random.Random(2), trace_every=1000)
+        res = simulate_walk(incs, 2500, random.Random(2))
         assert res.orthant_visits == 2500
         assert res.last_visit == 2500
         assert res.final_position == ()
-        assert [s.step for s in res.trace] == [0, 1000, 2000]
-        assert all(s.position == () for s in res.trace)
 
-    def test_trace_every_below_one_rejected(self):
-        incs = iv(((1,), 1, 2), ((-1,), 1, 2))
-        for bad in (0, -1):
-            with pytest.raises(ValueError, match="trace_every"):
-                simulate_walk(incs, 10, random.Random(0), trace_every=bad)
+    def test_exact_visit_law_mean_is_a_binomial_tail_sum(self):
+        # E[V_K] = sum_{k=1..K} P(S_k >= 0), and S_k >= 0 iff at least
+        # ceil(k/2) of the k steps are +1
+        incs = two_point_line_increments()
+        K = 32
+        law = orthant_visit_law(incs, K)
+        assert sum(law.values()) == 1
+        tails = (sum(comb(k, j) for j in range((k + 1) // 2, k + 1)) for k in range(1, K + 1))
+        assert sum(v * p for v, p in law.items()) == sum(
+            Fraction(t, 2**k) for k, t in enumerate(tails, 1)
+        )
 
-    def test_trace_thinning(self):
-        incs = iv(((1,), 1, 2), ((-1,), 1, 2))
-        res = simulate_walk(incs, 1000, random.Random(3), trace_every=100)
-        assert len(res.trace) == 11  # step 0 plus every 100th
-        assert res.trace[0].step == 0 and res.trace[-1].step == 1000
+    def test_visit_count_matches_exact_law(self):
+        # the sample mean of V_32 over 5,000 seeded walks against its exact
+        # mean and variance; the bound |z| <= 4 was fixed in advance, not
+        # fitted to these seeds
+        incs = two_point_line_increments()
+        K = 32
+        law = orthant_visit_law(incs, K)
+        mean = sum(v * p for v, p in law.items())
+        var = sum(v * v * p for v, p in law.items()) - mean**2
+        seeds = 5000
+        total = sum(
+            simulate_walk(incs, K, random.Random(derive_seed(42, "orthant-law", i))).orthant_visits
+            for i in range(seeds)
+        )
+        z = (Fraction(total, seeds) - mean) / sqrt(var / seeds)
+        assert abs(z) <= 4
 
     def test_deterministic(self):
         incs = iv(((1,), 1, 2), ((-1,), 1, 2))
@@ -495,10 +540,10 @@ class TestSimulateWalk:
         assert seen_pos and seen_neg and seen_zero
 
 
-def assert_matches_reference(incs, steps, seed, trace_every=100):
+def assert_matches_reference(incs, steps, seed, positions=None):
     ref_rng, rng_under_test = random.Random(seed), random.Random(seed)
-    expected = reference_walk(incs, steps, ref_rng, trace_every)
-    assert simulate_walk(incs, steps, rng_under_test, trace_every) == expected
+    expected = reference_walk(incs, steps, ref_rng, positions)
+    assert simulate_walk(incs, steps, rng_under_test) == expected
     assert rng_under_test.getstate() == ref_rng.getstate()
     return expected
 
@@ -510,9 +555,9 @@ def test_walk_matches_per_step_reference(dim, steps):
     # large ones the bisection path; the generator must end in the same state
     rng = random.Random(1000 * dim + steps)
     for max_weight in (9, 10**6):
-        for trace_every in (1, 3, 100, steps + 1):
+        for _ in range(4):
             incs = random_increments(rng, dim, max_weight)
-            assert_matches_reference(incs, steps, rng.randrange(2**32), trace_every)
+            assert_matches_reference(incs, steps, rng.randrange(2**32))
 
 
 @pytest.mark.parametrize("magnitude", [1, 7, 10**6])
@@ -523,11 +568,11 @@ def test_walk_reaches_field_width_bound(dim, magnitude):
     steps = 2 * _BLOCK + 1
     for signs in ([1] * dim, [-1] * dim, [(-1) ** i for i in range(dim)]):
         coords = [x * magnitude for x in signs]
-        expected = assert_matches_reference(iv((coords, 1)), steps, dim, trace_every=_BLOCK)
+        expected = assert_matches_reference(iv((coords, 1)), steps, dim)
         assert expected.final_position == tuple(steps * x for x in coords)
         # a second, shorter increment keeps the drift one-sided
         incs = iv((coords, 1, 2), ([x // 2 for x in coords], 1, 2))
-        assert_matches_reference(incs, steps, dim + 1, trace_every=7)
+        assert_matches_reference(incs, steps, dim + 1)
 
 
 @pytest.mark.parametrize("dim", [1, 2, 5])
@@ -539,8 +584,9 @@ def test_walk_negative_drift_skips_blocks(dim):
     # returns to the orthant a few times before it drifts away
     steps = 20 * _BLOCK
     incs = iv(([1] * (dim - 1) + [1], 2, 5), ([2] * (dim - 1) + [-1], 3, 5))
-    expected = assert_matches_reference(incs, steps, 8, trace_every=1)
-    lasts = [state.position[-1] for state in expected.trace[1:]]
+    positions = []
+    expected = assert_matches_reference(incs, steps, 8, positions)
+    lasts = [position[-1] for position in positions]
     tops = [max(lasts[i:i + _BLOCK]) for i in range(0, steps, _BLOCK)]
     assert expected.orthant_visits > 0
     assert tops[0] >= 0 and tops[-1] < 0
@@ -555,7 +601,7 @@ def test_walk_denominators(dim, denom):
     rng = random.Random(denom + dim)
     weights = [1, denom // 2, denom - 1 - denom // 2]
     incs = iv(*[([rng.randint(-4, 4) for _ in range(dim)], w, denom) for w in weights])
-    assert_matches_reference(incs, 2 * _BLOCK + 1, denom, trace_every=100)
+    assert_matches_reference(incs, 2 * _BLOCK + 1, denom)
 
 
 def test_walk_ignores_zero_probability_increments():
@@ -563,7 +609,7 @@ def test_walk_ignores_zero_probability_increments():
     # law drops them, so the byte draw still serves the other two
     incs = iv(*[((x, -x), 0) for x in range(300)], ((1, 2), 1, 3), ((-2, -1), 2, 3))
     assert incs.support() == ((-2, -1), (1, 2))
-    assert_matches_reference(incs, 3000, 5, trace_every=1000)
+    assert_matches_reference(incs, 3000, 5)
 
 
 def test_walk_rejects_negative_probability():
