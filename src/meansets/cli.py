@@ -9,6 +9,7 @@ failure, 2 usage or input error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -268,14 +269,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first `main` call.
+
+    Sharing it is safe: argparse keeps no state between `parse_args` calls,
+    and each `_cmd_*` looks its library functions up at call time.
+    """
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except (MeansetsError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        message = str(exc)
+    except MemoryError:
+        # written after the handler has released the frames that filled memory
+        message = "out of memory"
+    print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

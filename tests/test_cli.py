@@ -3,8 +3,8 @@ import random
 
 import pytest
 
-from meansets import experiments
-from meansets.cli import main
+from meansets import cli, experiments
+from meansets.cli import build_parser, main
 from meansets.errors import VertexIdError
 from meansets.experiments import derive_seed
 from meansets.freegroup import CayleyGraph
@@ -564,3 +564,73 @@ def test_non_utf8_file_exits_2(capsys, tmp_path, path_instance, command, which):
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
     assert str(bad) in err
+
+
+class TestSharedParser:
+    """One process runs many `main` calls on one parser, and no call leaves
+    anything behind for the next."""
+
+    def test_one_parser_per_process(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_defaults_after_a_call_that_set_them(self, capsys, tmp_path, path_instance):
+        line = tmp_path / "line.txt"
+        line.write_text("0 1\n")
+        mu = tmp_path / "line-mu.txt"
+        mu.write_text("0 1\n1 1\n")
+        walk = ["walk", "--graph", str(line), "--measure", str(mu), "--steps", "500"]
+        seeded = run_cli(capsys, *walk, "--seed", "42")
+        other = run_cli(capsys, *walk, "--seed", "7")
+        assert run_cli(capsys, *walk) == seeded != other
+        graph, measure = path_instance
+        meanset = ["meanset", "--graph", graph, "--measure", measure]
+        class_2 = run_cli(capsys, *meanset, "--class", "2")
+        class_1 = run_cli(capsys, *meanset, "--class", "1")
+        assert run_cli(capsys, *meanset) == class_2 != class_1
+
+    @pytest.mark.parametrize("bad, message", [
+        (["--class", "3"], "argument --class: invalid choice: 3"),
+        (["--free-rank", "2"], "argument --free-rank: not allowed with argument --graph"),
+    ], ids=["bad-choice", "both-sources"])
+    def test_usage_error_between_good_calls(self, capsys, tmp_path, path_instance, bad, message):
+        graph, measure = path_instance
+        words = tmp_path / "words.txt"
+        words.write_text("ab 1\nA 1\n")
+        by_graph = ["meanset", "--graph", graph, "--measure", measure]
+        by_rank = ["meanset", "--free-rank", "2", "--measure", str(words)]
+        first = run_cli(capsys, *by_graph)
+        free = run_cli(capsys, *by_rank)
+        with pytest.raises(SystemExit) as exc:
+            main([*by_graph, *bad])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(f"error: {message}")
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert run_cli(capsys, *by_graph) == first
+        assert run_cli(capsys, *by_rank) == free
+
+    @pytest.mark.parametrize("command", [[], ["meanset"], ["walk"], ["table-f4"], ["decay"], ["check"]],
+                             ids=["top", "meanset", "walk", "table-f4", "decay", "check"])
+    def test_help_after_other_calls(self, capsys, path_instance, command):
+        graph, measure = path_instance
+        run_cli(capsys, "meanset", "--graph", graph, "--measure", measure, "--class", "1")
+        with pytest.raises(SystemExit):
+            main(["walk", "--graph", graph])
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "-h"])
+        assert exc.value.code == 0
+        shared = capsys.readouterr()
+        with pytest.raises(SystemExit):
+            build_parser().parse_args([*command, "-h"])
+        assert shared == capsys.readouterr()
+        assert shared.out.startswith("usage: meanset-lab") and shared.err == ""
+
+
+def test_out_of_memory_exits_2(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_table_experiment", exhausted)
+    assert run_cli(capsys, "table-f4", "--trials", "1") == (2, "", "error: out of memory\n")
