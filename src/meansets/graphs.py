@@ -289,31 +289,7 @@ def integer_grid() -> ImplicitGraph:
 
 def parse_graph(text: str) -> ExplicitGraph:
     """Parse the edge-list format: one `u v` pair of nonnegative integer ids
-    per line, `#` comments and blank lines ignored.
-
-    A list without comments is read in bulk: every line must split into 0
-    or 2 fields, every id is converted by one `map(int)` over the text's
-    fields and the signs are checked by one `min`.  A text with a comment,
-    or one that fails any of these checks, goes to the per-line reader,
-    which alone words errors and names the first bad line.
-    """
-    # Each line's field list is dropped as soon as it is counted: keeping one
-    # list per edge alive sets off the cyclic garbage collector.  Every line
-    # break is whitespace to `str.split`, so the text's fields are the lines'
-    # fields in order.
-    if "#" not in text and set(map(len, map(str.split, text.splitlines()))) <= {0, 2}:
-        try:
-            ids = list(map(int, text.split()))
-        except ValueError:
-            pass
-        else:
-            if min(ids, default=0) >= 0:
-                return ExplicitGraph(zip(ids[::2], ids[1::2]))
-    return ExplicitGraph(_edges_line_by_line(text))
-
-
-def _edges_line_by_line(text: str) -> list[tuple[int, int]]:
-    """The edges of `text`, or GraphFormatError for its first bad line."""
+    per line, `#` comments and blank lines ignored."""
     edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         parts = raw.split("#", 1)[0].split()
@@ -328,7 +304,7 @@ def _edges_line_by_line(text: str) -> list[tuple[int, int]]:
         if u < 0 or v < 0:
             raise GraphFormatError(f"line {lineno}: ids must be nonnegative")
         edges.append((u, v))
-    return edges
+    return ExplicitGraph(edges)
 
 
 def load_graph(path) -> ExplicitGraph:

@@ -2,7 +2,6 @@ import random
 
 import pytest
 
-from meansets import graphs
 from meansets.errors import GraphFormatError, InfiniteGraphError, UnreachableVertexError
 from meansets.freegroup import CayleyGraph
 from meansets.graphs import (
@@ -277,55 +276,6 @@ class TestFileFormat:
             with pytest.raises(GraphFormatError) as exc:
                 parse_graph(text)
             assert str(exc.value) == message
-
-
-def _random_edge_text(rng: random.Random) -> str:
-    """An edge list of a random tree, sometimes with extra edges, mixed with
-    blank lines, tabs, CRLF and other line ends and, sometimes, comments and
-    bad lines."""
-    commented = rng.random() < 0.5
-    tails = ("", " ", "\t") + ((" # tail", "#x") if commented else ())
-    fillers = ("", " ", "\t") + (("# c", "#1 2", "  # 1 2") if commented else ())
-    n = rng.randint(1, 9)
-    edges = [(rng.randrange(v), v) for v in range(1, n)]
-    edges += [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.choice((0, 0, 1, 2)))]
-    rng.shuffle(edges)
-    lines = []
-    for edge in edges:
-        # int() also reads a sign and leading zeros, on both routes
-        u, v = (rng.choice(("{}", "{}", "{}", "+{}", "0{}")).format(x) for x in edge)
-        # \x1f and \xa0 separate fields but do not end a line
-        line = rng.choice((" ", "  ", "\t", " \t ", "\x1f", "\xa0")).join(rng.sample((u, v), 2))
-        lines.append(rng.choice(("", " ", "\t")) + line + rng.choice(tails))
-    bad = ("7", "1 2 3", "1 2 3 # c", "a 1", "1 1.5", "0x1 2", "-1 0", "3 -2", "1#2 3")
-    for _ in range(rng.choice((0, 0, 0, 1, 1, 2, 3))):
-        lines.insert(rng.randint(0, len(lines)), rng.choice(bad))
-    for _ in range(rng.randint(0, 3)):
-        lines.insert(rng.randint(0, len(lines)), rng.choice(fillers))
-    end = rng.choice(("\n", "\n", "\r\n", "\r", "\x0b", "\x1c", "\x85", "\u2028"))
-    return end.join(lines) + rng.choice(("", end))
-
-
-def test_bulk_reader_matches_the_line_reader(monkeypatch):
-    # the edge lists themselves are compared, in input order, so the reader
-    # is checked apart from the graph checks that follow it
-    monkeypatch.setattr(graphs, "ExplicitGraph", list)
-    rng = random.Random(20260521)
-    outcomes = {"bulk": 0, "commented": 0, "error": 0}
-    for _ in range(3000):
-        text = _random_edge_text(rng)
-        try:
-            expected = graphs._edges_line_by_line(text)
-        except GraphFormatError as exc:
-            outcomes["error"] += 1
-            with pytest.raises(GraphFormatError) as got:
-                parse_graph(text)
-            assert str(got.value) == str(exc), text
-        else:
-            # a text without "#" and without bad lines is read in bulk
-            outcomes["commented" if "#" in text else "bulk"] += 1
-            assert parse_graph(text) == expected, text
-    assert min(outcomes.values()) > 500, outcomes
 
 
 class TestImplicitGraphs:
