@@ -332,7 +332,7 @@ def _check_tree_configuration(rng: random.Random) -> bool:
 def _check_cut_point(rng: random.Random) -> bool:
     g = randomgen.random_cutpoint_graph(rng, max_vertices=9)
     mu = randomgen.random_measure(g.vertices(), rng)
-    d = {v: g.distances_from(v) for v in g.vertices()}
+    d = {v: g.distances(v) for v in g.vertices()}
     for v0 in g.cut_points():
         comps = g.components_without([v0])
         m0 = weight(g, mu, v0, 2)
@@ -340,12 +340,12 @@ def _check_cut_point(rng: random.Random) -> bool:
             for j in range(i + 1, len(comps)):
                 for v1 in comps[i]:
                     for v2 in comps[j]:
-                        d1 = d[v0][v1]
-                        d2 = d[v0][v2]
+                        d1 = d[v0](v1)
+                        d2 = d[v0](v2)
                         bound = d2 * d1 * (d1 + d2)
                         for s in g.vertices():
-                            lhs = d2 * (d[v1][s] ** 2 - d[v0][s] ** 2) + d1 * (
-                                d[v2][s] ** 2 - d[v0][s] ** 2
+                            lhs = d2 * (d[v1](s) ** 2 - d[v0](s) ** 2) + d1 * (
+                                d[v2](s) ** 2 - d[v0](s) ** 2
                             )
                             if lhs < bound or bound <= 0:
                                 return False

@@ -26,6 +26,8 @@ from __future__ import annotations
 import functools
 import random
 import re
+from itertools import compress, count
+from operator import ne
 
 from .errors import VertexIdError
 from .graphs import ImplicitGraph
@@ -82,24 +84,9 @@ def word_to_str(letters: tuple, rank: int) -> str:
 # -- Cayley graph over serialized ids ---------------------------------------
 
 def _str_lcp(a, b) -> int:
-    """Length of the longest common prefix of two strings or two tuples, via
-    doubling + binary search so the comparisons run at C speed."""
-    if a == b:
-        return len(a)
-    n = min(len(a), len(b))
-    lo = 0
-    step = 1
-    while lo + step <= n and a[: lo + step] == b[: lo + step]:
-        lo += step
-        step *= 2
-    hi = min(n, lo + step - 1)
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if a[:mid] == b[:mid]:
-            lo = mid
-        else:
-            hi = mid - 1
-    return lo
+    """Length of the longest common prefix of two strings or two tuples: the
+    position of the first mismatch, found in one pass at C speed."""
+    return next(compress(count(), map(ne, a, b)), min(len(a), len(b)))
 
 
 def _id_pattern(rank: int) -> re.Pattern:

@@ -5,7 +5,9 @@ graphs, strings for Cayley graphs, tuples for grids).  Distances are graph
 geodesics, and every query goes through one method per graph kind,
 `distances(source)`: an explicit graph reads one BFS column over its index
 adjacency, an implicit graph asks its exact oracle or grows one BFS by id.
-Each query runs its own search; the graph keeps no state between queries.
+Only an explicit graph can answer for every vertex at once; an implicit
+graph raises InfiniteGraphError for such whole-graph queries.  Each query
+runs its own search; the graph keeps no state between queries.
 """
 
 from __future__ import annotations
@@ -55,7 +57,8 @@ class ExplicitGraph(Graph):
     positions back to ids for callers that walk the graph by id.
 
     The constructor rejects self-loops and parallel edges (they never change
-    distances) and requires connectivity.
+    distances) in one scan of the edges in input order, which names the
+    first offending edge, and requires connectivity.
     """
 
     def __init__(self, edges: Iterable[tuple]):
@@ -72,10 +75,7 @@ class ExplicitGraph(Graph):
             nbrs[j].append(i)
         for ns in nbrs:
             ns.sort()
-        # a self-loop lists a vertex in its own list twice, a parallel edge
-        # lists a neighbour twice: either way some list has a duplicate
-        if sum(map(len, map(set, nbrs))) != 2 * len(pairs):
-            _reject_first_bad_edge(pairs)
+        _reject_first_bad_edge(pairs)
         self._vertices = tuple(ids)
         self._index = index
         self._nbrs = nbrs
@@ -111,24 +111,20 @@ class ExplicitGraph(Graph):
         if v not in self._index:
             raise UnreachableVertexError(f"{v!r} is not a vertex")
 
-    def distances_from(self, source) -> dict:
-        """Distance from `source` to every vertex, in vertex order; reading
-        a non-vertex raises UnreachableVertexError."""
-        self._require_vertex(source)
-        return _Column(zip(self._vertices, self._column(self._index[source])))
-
     def distances(self, source):
         """v -> d(source, v), read from one `_column`; UnreachableVertexError
         for a source or a v that is not a vertex.  The column covers the
         whole graph, so a lone `distance(u, v)` costs a full BFS with no
         early stop: callers asking many distances share one `distances`."""
-        return self.distances_from(source).__getitem__
+        self._require_vertex(source)
+        return _Column(zip(self._vertices, self._column(self._index[source]))).__getitem__
 
     def ball(self, v, r: int) -> set:
         """All vertices at distance <= r from v."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
-        return {u for u, d in self.distances_from(v).items() if d <= r}
+        self._require_vertex(v)
+        return {u for u, d in zip(self._vertices, self._column(self._index[v])) if d <= r}
 
     def vertices(self) -> tuple:
         return self._vertices
@@ -255,9 +251,6 @@ class ImplicitGraph(Graph):
 
     def vertices(self):
         raise InfiniteGraphError("vertex scan needs a finite explicit graph")
-
-    def distances_from(self, source):
-        raise InfiniteGraphError("distances to every vertex need a finite explicit graph")
 
     def is_cut_point(self, v):
         raise InfiniteGraphError("cut-point test needs a finite explicit graph")

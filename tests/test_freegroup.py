@@ -321,6 +321,21 @@ class TestStringLcp:
         assert _str_lcp("", "abc") == 0
         assert _str_lcp("abc", "abc") == 3
         assert _str_lcp("ab", "abab") == 2
+        # path keys of words up to 1,000 letters: strings at rank 2, g/G
+        # token tuples at rank 27; kb shares a random prefix of ka
+        for rank in (2, 27):
+            g = CayleyGraph(rank)
+            for _ in range(100):
+                ka = g.path_key(sample_sphere(rank, rng.randint(0, 1000), rng))
+                prefix = g.key_id(ka[: rng.randint(0, len(ka))])
+                kb = g.path_key(g.multiply(prefix, sample_sphere(rank, rng.randint(0, 1000), rng)))
+                assert _str_lcp(ka, kb) == _str_lcp(kb, ka) == naive(ka, kb)
+        key = ("g1", "G2", "g10", "g1")
+        assert _str_lcp((), ()) == 0
+        assert _str_lcp((), key) == _str_lcp(key, ()) == 0
+        assert _str_lcp(key, key) == 4
+        assert _str_lcp(key[:2], key) == _str_lcp(key, key[:2]) == 2
+        assert _str_lcp(("g1", "g10"), ("g1", "g1")) == 1
 
 
 class TestCayleyGraph:
