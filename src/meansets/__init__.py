@@ -13,7 +13,6 @@ from .errors import (
     InfiniteGraphError,
     MeansetsError,
     MeasureFormatError,
-    NonSingletonTruthError,
     NotATreeError,
     NotMeanSetError,
     RankMismatchError,

@@ -199,9 +199,7 @@ def _cmd_table(args) -> int:
 
 def _cmd_decay(args) -> int:
     g, mu = _load_instance(args)
-    points = run_decay_experiment(
-        g, mu, args.samples, args.trials, args.seed, containment=args.containment
-    )
+    points = run_decay_experiment(g, mu, args.samples, args.trials, args.seed)
     _write_output(decay_to_csv(points), args.out)
     return 0
 
@@ -253,8 +251,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=_sample_sizes, required=True)
     p.add_argument("--trials", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--containment", action="store_true",
-                   help="count S_n not-a-subset-of-E as the miss event")
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_decay)
 

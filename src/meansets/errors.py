@@ -37,11 +37,6 @@ class NotMeanSetError(MeansetsError):
     of the supplied measure."""
 
 
-class NonSingletonTruthError(MeansetsError):
-    """A decay experiment needs a singleton ground-truth mean-set unless
-    containment mode is requested."""
-
-
 class MeasureFormatError(MeansetsError):
     """A measure file or literal could not be parsed into an exact measure."""
 

@@ -18,7 +18,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .errors import NonSingletonTruthError, VertexIdError
+from .errors import VertexIdError
 from .freegroup import CayleyGraph, sample_sphere, word_to_str
 from .graphs import Graph
 from .measures import AtomicMeasure, draw, shift
@@ -204,33 +204,22 @@ def run_decay_experiment(
     samples,
     trials: int,
     seed: int,
-    containment: bool = False,
 ) -> list[DecayPoint]:
-    """Estimate how often the sample mean-set misses the true one.
+    """Estimate how often the sample mean-set misses the true one E.
 
-    Without containment the ground truth must be a singleton and a miss is
-    S_n != E; with containment a miss is S_n not a subset of E, which also
-    covers multi-vertex truths.
+    A miss is S_n not a subset of E.  A mean-set is never empty, so when E
+    is one vertex this is S_n != E.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     truth = measure_mean_set(graph, mu, 2).vertices
-    if len(truth) > 1 and not containment:
-        raise NonSingletonTruthError(
-            f"mean-set has {len(truth)} vertices; rerun with containment mode"
-        )
     points = []
     for n in samples:
         misses = 0
         for trial in range(trials):
             rng = random.Random(derive_seed(seed, "decay", n, trial))
             sample = draw(mu, n, rng)
-            found = sample_mean_set(graph, sample, 2).vertices
-            if containment:
-                miss = not (found <= truth)
-            else:
-                miss = found != truth
-            if miss:
+            if not sample_mean_set(graph, sample, 2).vertices <= truth:
                 misses += 1
         points.append(DecayPoint(n=n, trials=trials, misses=misses))
     return points

@@ -300,15 +300,18 @@ def parse_graph(text: str) -> ExplicitGraph:
     return ExplicitGraph(edges)
 
 
-def load_graph(path) -> ExplicitGraph:
+def read_text(path, error) -> str:
+    """The text of the UTF-8 file at path; raises error, an exception class,
+    naming the path and the first bad byte if the file is not UTF-8."""
     with open(path, encoding="utf-8") as fh:
         try:
-            text = fh.read()
+            return fh.read()
         except UnicodeDecodeError as exc:
-            raise GraphFormatError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-            ) from None
-    return parse_graph(text)
+            raise error(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
+def load_graph(path) -> ExplicitGraph:
+    return parse_graph(read_text(path, GraphFormatError))
 
 
 def path_graph(n: int) -> ExplicitGraph:

@@ -58,9 +58,6 @@ class MeanSetResult:
     def sorted_vertices(self) -> list:
         return sorted(self.vertices)
 
-    def __contains__(self, v) -> bool:
-        return v in self.vertices
-
 
 def weight(g: Graph, mu: AtomicMeasure, v, c: int = 2) -> Fraction:
     """Exact class-c weight of v under mu, from one distance column from v."""

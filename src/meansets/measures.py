@@ -18,6 +18,7 @@ from math import gcd, lcm
 from typing import Iterable, Mapping
 
 from .errors import MeasureFormatError, RankMismatchError, VertexIdError
+from .graphs import read_text
 
 _CHUNK = 1 << 16  # draws per sampler call in `draw`, which bounds its memory
 
@@ -57,21 +58,17 @@ class AtomicMeasure:
     __slots__ = ("_denom", "_nums")
 
     def __init__(self, atoms: Mapping):
-        cleaned: dict = {}
-        total = Fraction(0)
+        weights: dict = {}
         for v, w in atoms.items():
-            w = Fraction(w)
+            weights[v] = w = Fraction(w)
             if w < 0:
                 raise ValueError(f"negative weight {w} at {v!r}")
-            if w == 0:
-                continue
-            cleaned[v] = w
-            total += w
-        if not cleaned:
+        if not any(weights.values()):
             raise ValueError("measure must have nonempty support")
+        total = sum(weights.values())
         if total != 1:
             raise ValueError(f"weights sum to {total}, not 1")
-        self._denom, self._nums = _lowest_terms(cleaned)
+        self._denom, self._nums = _lowest_terms(weights)
 
     @classmethod
     def from_masses(cls, masses: Mapping) -> "AtomicMeasure":
@@ -273,11 +270,4 @@ def parse_measure(text: str, vertex_parser=None, multi_token: bool = False) -> A
 
 
 def load_measure(path, vertex_parser=None, multi_token: bool = False) -> AtomicMeasure:
-    with open(path, encoding="utf-8") as fh:
-        try:
-            text = fh.read()
-        except UnicodeDecodeError as exc:
-            raise MeasureFormatError(
-                f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
-            ) from None
-    return parse_measure(text, vertex_parser=vertex_parser, multi_token=multi_token)
+    return parse_measure(read_text(path, MeasureFormatError), vertex_parser, multi_token)

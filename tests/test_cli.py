@@ -413,22 +413,23 @@ class TestDecayCommand:
         assert len(lines) == 3
         assert lines[1].split(",")[2] == "0"
 
-    def test_non_singleton_needs_containment(self, capsys, tmp_path):
+    def test_multi_vertex_truth_needs_no_flag(self, capsys, tmp_path):
         graph = tmp_path / "p.txt"
         graph.write_text("0 1\n")
         measure = tmp_path / "mu.txt"
         measure.write_text("0 1\n1 1\n")
-        code, _, err = run_cli(
-            capsys, "decay", "--graph", str(graph), "--measure", str(measure),
-            "--samples", "2", "--trials", "10",
-        )
-        assert code == 2
-        assert "containment" in err
-        code, out, _ = run_cli(
-            capsys, "decay", "--graph", str(graph), "--measure", str(measure),
-            "--samples", "2", "--trials", "10", "--containment",
-        )
-        assert code == 0
+        argv = ["decay", "--graph", str(graph), "--measure", str(measure),
+                "--samples", "2", "--trials", "10"]
+        code, out, err = run_cli(capsys, *argv)
+        # E = {0, 1} holds every sample mean-set, so no trial misses
+        assert code == 0 and err == ""
+        assert out.splitlines()[1].split(",")[2] == "0"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--containment"])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestCheckCommand:

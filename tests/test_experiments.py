@@ -1,6 +1,5 @@
 import pytest
 
-from meansets.errors import NonSingletonTruthError
 from meansets.experiments import (
     ExperimentConfig,
     decay_to_csv,
@@ -137,18 +136,36 @@ class TestDecayExperiment:
         with pytest.raises(ValueError):
             run_decay_experiment(path_graph(4), AtomicMeasure.point_mass(1), (2,), trials=0, seed=1)
 
-    def test_non_singleton_truth_rejected(self):
+    def test_multi_vertex_truth_misses_only_outside_it(self):
         g = path_graph(2)
         mu = AtomicMeasure.uniform([0, 1])
-        with pytest.raises(NonSingletonTruthError):
-            run_decay_experiment(g, mu, (2,), trials=10, seed=1)
-
-    def test_containment_mode_accepts_multi_vertex_truth(self):
-        g = path_graph(2)
-        mu = AtomicMeasure.uniform([0, 1])
-        points = run_decay_experiment(g, mu, (2, 4), trials=50, seed=1, containment=True)
-        # S_n is always a subset of {0, 1} here, so containment never misses
+        points = run_decay_experiment(g, mu, (2, 4), trials=50, seed=1)
+        # S_n is always a subset of E = {0, 1} here, so no trial misses
         assert all(p.misses == 0 for p in points)
+
+    def test_path5_csv_bytes_pinned(self):
+        # the decay instance the CI hash-seed step runs: masses 4, 1, 3, 1, 3
+        # on path(5), whose mean-set is one vertex
+        import hashlib
+
+        mu = AtomicMeasure.from_masses({0: 4, 1: 1, 2: 3, 3: 1, 4: 3})
+        text = decay_to_csv(run_decay_experiment(path_graph(5), mu, (4, 16, 64), 50, 42))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "5146083f17702cb0a214a87828ed215af6ab0ac402131e62c98032644d009d0d"
+        )
+
+    def test_two_vertex_truth_csv_bytes_pinned(self):
+        # masses 1 and 1 on the ends of path(4) have mean-set {1, 2}; a miss
+        # is a sample mean-set that holds 0 or 3
+        import hashlib
+
+        g = path_graph(4)
+        mu = AtomicMeasure.from_masses({0: 1, 3: 1})
+        points = run_decay_experiment(g, mu, (2, 4, 8), 50, 42)
+        assert [p.misses for p in points] == [27, 7, 2]
+        assert hashlib.sha256(decay_to_csv(points).encode()).hexdigest() == (
+            "9202d0b6aa33fa86fcb58455324149ea06b87416fd8736379372953a7c408e29"
+        )
 
     def test_sphere_measure_envelope(self):
         # free group rank 2, uniform on the length-3 sphere: the miss rate

@@ -73,7 +73,9 @@ class TestAtomicMeasure:
 
 # (masses, expected (D, numerators) or ValueError message); messages and the
 # order of the checks are part of the contract: from_masses({0: -1, 1: 1})
-# fails on its total before it looks at the negative mass
+# fails on its total before it looks at the negative mass and names the
+# scaled weight, while the constructor checks negatives first and names the
+# weight as given
 INIT_TABLE = [
     ({}, "measure must have nonempty support"),
     ({0: 0}, "measure must have nonempty support"),
@@ -81,6 +83,8 @@ INIT_TABLE = [
     ({0: Fraction(1, 3)}, "weights sum to 1/3, not 1"),
     ({0: "1/2", 1: 0.5}, (2, {0: 1, 1: 1})),
     ({0: Fraction(1, 2), 1: 0, 2: Fraction(1, 2)}, (2, {0: 1, 2: 1})),
+    ({0: -1, 1: 1}, "negative weight -1 at 0"),
+    ({0: -1, 1: 3}, "negative weight -1 at 0"),
 ]
 FROM_MASSES_TABLE = [
     ({}, "total mass must be positive"),
