@@ -15,9 +15,6 @@ from .errors import (
     MeasureFormatError,
     NotATreeError,
     NotMeanSetError,
-    RankMismatchError,
-    UnreachableAtomError,
-    UnreachableVertexError,
     VertexIdError,
 )
 from .freegroup import (

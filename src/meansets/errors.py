@@ -5,25 +5,13 @@ class MeansetsError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class UnreachableVertexError(MeansetsError):
-    """A shortest-path search exhausted a finite component without meeting its target."""
-
-
 class InfiniteGraphError(MeansetsError):
     """An operation that needs the full vertex set was called on an implicit graph."""
 
 
-class RankMismatchError(MeansetsError):
-    """A measure's atom is not an element of the free group it is shifted in."""
-
-
 class VertexIdError(MeansetsError):
-    """A vertex id is not the canonical id of any vertex of the graph (on a
+    """A vertex id, or a measure's atom, is not a vertex of the graph (on a
     free-group Cayley graph, a string that word_to_str does not produce)."""
-
-
-class UnreachableAtomError(MeansetsError):
-    """A measure atom is not reachable from the vertex being weighted."""
 
 
 class NotATreeError(MeansetsError):

@@ -16,7 +16,7 @@ from functools import partial
 from itertools import chain
 from typing import Callable, Hashable, Iterable
 
-from .errors import GraphFormatError, InfiniteGraphError, UnreachableVertexError
+from .errors import GraphFormatError, InfiniteGraphError, VertexIdError
 
 VertexId = Hashable
 
@@ -38,7 +38,10 @@ class Graph:
         raise NotImplementedError
 
     def _require_vertex(self, v) -> None:
-        """Reject a BFS source outside the vertex set (only explicit graphs can tell)."""
+        """Raise VertexIdError if v is not a vertex: the graph kind's vertex
+        rule, against which queries check their sources and solvers their
+        atoms.  A bare oracle graph has no rule and accepts every id; its
+        BFS raises once it ends without reaching an id."""
 
     def distance(self, u, v) -> int:
         """Geodesic distance between u and v."""
@@ -109,10 +112,10 @@ class ExplicitGraph(Graph):
 
     def _require_vertex(self, v) -> None:
         if v not in self._index:
-            raise UnreachableVertexError(f"{v!r} is not a vertex")
+            raise VertexIdError(f"{v!r} is not a vertex")
 
     def distances(self, source):
-        """v -> d(source, v), read from one `_column`; UnreachableVertexError
+        """v -> d(source, v), read from one `_column`; VertexIdError
         for a source or a v that is not a vertex.  The column covers the
         whole graph, so a lone `distance(u, v)` costs a full BFS with no
         early stop: callers asking many distances share one `distances`."""
@@ -165,7 +168,7 @@ class _Column(dict):
     """Distances from one source by vertex id; a non-vertex has none."""
 
     def __missing__(self, v):
-        raise UnreachableVertexError(f"{v!r} is not a vertex")
+        raise VertexIdError(f"{v!r} is not a vertex")
 
 
 def _reject_first_bad_edge(pairs: list) -> None:
@@ -207,7 +210,6 @@ class ImplicitGraph(Graph):
         each completed layer: dist maps every vertex within `depth` of the
         source to its distance.  The first yield is (0, {source: 0}); the
         search ends when a layer adds no vertex."""
-        self._require_vertex(source)
         neighbors = self.neighbors
         dist = {source: 0}
         frontier = [source]
@@ -226,7 +228,8 @@ class ImplicitGraph(Graph):
     def distances(self, source):
         """v -> d(source, v): the exact oracle if the graph has one, else
         one BFS column grown only as far as the vertices asked for, and
-        UnreachableVertexError once the search ends without reaching v."""
+        VertexIdError once the search ends without reaching v."""
+        self._require_vertex(source)
         if self._distance_fn is not None:
             return partial(self._distance_fn, source)
         layers = self._layers(source)
@@ -235,7 +238,7 @@ class ImplicitGraph(Graph):
         def dist(v):
             while v not in column:
                 if next(layers, None) is None:
-                    raise UnreachableVertexError(f"no path from {source!r} to {v!r}")
+                    raise VertexIdError(f"no path from {source!r} to {v!r}")
             return column[v]
 
         return dist
@@ -244,6 +247,7 @@ class ImplicitGraph(Graph):
         """All vertices at distance <= r from v."""
         if r < 0:
             raise ValueError("radius must be nonnegative")
+        self._require_vertex(v)
         for depth, dist in self._layers(v):
             if depth == r:
                 break
@@ -260,7 +264,20 @@ class ImplicitGraph(Graph):
 
 
 class IntegerLine(ImplicitGraph):
-    """The line's own type, which `measure_mean_set` sends to `line_mean_set`."""
+    """The line's own type, which `measure_mean_set` sends to `line_mean_set`.
+    Its vertices are the ints, bools included."""
+
+    def _require_vertex(self, v) -> None:
+        if not isinstance(v, int):
+            raise VertexIdError(f"{v!r} is not a vertex of the integer line")
+
+
+class IntegerGrid(ImplicitGraph):
+    """The grid's own type: its vertices are the pairs of ints."""
+
+    def _require_vertex(self, v) -> None:
+        if not (isinstance(v, tuple) and len(v) == 2 and all(isinstance(x, int) for x in v)):
+            raise VertexIdError(f"{v!r} is not a vertex of the integer grid")
 
 
 def integer_line() -> IntegerLine:
@@ -272,9 +289,9 @@ def integer_line() -> IntegerLine:
     )
 
 
-def integer_grid() -> ImplicitGraph:
+def integer_grid() -> IntegerGrid:
     """The planar grid on integer pairs with unit steps (L1 geodesics)."""
-    return ImplicitGraph(
+    return IntegerGrid(
         lambda p: ((p[0] - 1, p[1]), (p[0] + 1, p[1]), (p[0], p[1] - 1), (p[0], p[1] + 1)),
         distance_fn=lambda a, b: abs(a[0] - b[0]) + abs(a[1] - b[1]),
     )

@@ -32,9 +32,9 @@ from itertools import accumulate, compress, repeat
 from operator import add, itemgetter, mul
 from typing import Mapping
 
-from .errors import NotATreeError, UnreachableAtomError, UnreachableVertexError
+from .errors import NotATreeError
 from .freegroup import CayleyGraph
-from .graphs import ExplicitGraph, Graph, IntegerLine
+from .graphs import ExplicitGraph, Graph, IntegerLine, integer_line
 from .measures import AtomicMeasure, empirical
 
 
@@ -63,11 +63,9 @@ def weight(g: Graph, mu: AtomicMeasure, v, c: int = 2) -> Fraction:
     """Exact class-c weight of v under mu, from one distance column from v."""
     _check_class(c)
     denom, nums = mu.numerators()
-    try:
-        dist = g.distances(v)
-        return Fraction(sum(dist(s) ** c * m for s, m in nums.items()), denom)
-    except UnreachableVertexError as exc:
-        raise UnreachableAtomError(str(exc)) from None
+    _require_atoms(g, nums)
+    dist = g.distances(v)
+    return Fraction(sum(dist(s) ** c * m for s, m in nums.items()), denom)
 
 
 def _check_class(c: int) -> None:
@@ -76,11 +74,8 @@ def _check_class(c: int) -> None:
 
 
 def _require_atoms(g: Graph, atoms) -> None:
-    try:
-        for s in atoms:
-            g._require_vertex(s)
-    except UnreachableVertexError as exc:
-        raise UnreachableAtomError(str(exc)) from None
+    for s in atoms:
+        g._require_vertex(s)
 
 
 def _argmin(candidates, weights: list, denom: int, c: int, method: str,
@@ -202,11 +197,8 @@ def _root_path_keys(g: Graph, nums: dict):
             path.append(v)
         return tuple(reversed(path))
 
-    try:
-        depth = g.distances(root)
-        keys, masses = zip(*sorted((key(s), m) for s, m in nums.items()))
-    except UnreachableVertexError as exc:
-        raise UnreachableAtomError(str(exc)) from None
+    depth = g.distances(root)
+    keys, masses = zip(*sorted((key(s), m) for s, m in nums.items()))
     return root, keys, masses
 
 
@@ -230,7 +222,7 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     of vertex ids on the atom's path from it (`_root_path_keys`): one
     `distances` column from the root, then one `neighbors` call per step
     back from an atom, at most the sum of the atoms' depths in all.  An
-    atom that is not a vertex raises UnreachableAtomError.
+    atom that is not a vertex raises VertexIdError before any key is built.
 
     On every tree `steps` is the number of descent moves, the distance from
     the root to the mean-set.  The `meanset` payload reports the atoms'
@@ -248,6 +240,7 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (g.key_id(keys[i][:depth]) for depth, i in region)
     else:
+        _require_atoms(g, nums)
         root, keys, masses = _root_path_keys(g, nums)
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (keys[i][depth - 1] if depth else root for depth, i in region)
@@ -274,9 +267,8 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     and in either class W_c(u) <= W_c(v) forces D <= 2 * S1 / T.  The ball of
     radius floor(2 * S1 / T) around v therefore holds the argmin set in both
     classes, and scanning it is an exhaustive search; a point mass has
-    S1 = 0, so its ball is the atom alone.  Every atom must be a vertex of
-    the graph (`VertexIdError` on a free group, `UnreachableAtomError` on
-    an explicit graph), checked before any distance is taken.
+    S1 = 0, so its ball is the atom alone.  An atom that is not a vertex
+    of the graph raises VertexIdError before any distance is taken.
     """
     _check_class(c)
     denom, nums = mu.numerators()
@@ -317,13 +309,11 @@ def line_mean_set(mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     median interval, from the first atom where the cumulative mass reaches
     half the total to the next atom if it reaches exactly half.  `steps`
     is the size of the support's hull, the vertices a scan would score.
-    An atom that is not an int raises UnreachableAtomError.
+    An atom that is not an int raises VertexIdError.
     """
     _check_class(c)
     denom, nums = mu.numerators()
-    for s in nums:
-        if not isinstance(s, int):
-            raise UnreachableAtomError(f"{s!r} is not a vertex of the integer line")
+    _require_atoms(integer_line(), nums)
     atoms = list(nums)  # numerators come in vertex order and sum to denom
 
     def weight(v):

@@ -17,7 +17,7 @@ from itertools import accumulate, pairwise, repeat
 from math import gcd, lcm
 from typing import Iterable, Mapping
 
-from .errors import MeasureFormatError, RankMismatchError, VertexIdError
+from .errors import MeasureFormatError, VertexIdError
 from .graphs import read_text
 
 _CHUNK = 1 << 16  # draws per sampler call in `draw`, which bounds its memory
@@ -212,17 +212,10 @@ def shift(mu: AtomicMeasure, g: str, graph) -> AtomicMeasure:
     """Left-translate every atom by g, a vertex id of the free-group Cayley
     graph `graph`; weights are unchanged.
 
-    Raises VertexIdError if g is not a vertex of the graph, and
-    RankMismatchError if an atom is not.
+    Raises VertexIdError if g or an atom is not a vertex of the graph, g
+    checked first.
     """
-    graph.path_key(g)  # VertexIdError if g is not a vertex
-    translated: dict = {}
-    for v, w in mu.items():
-        try:
-            translated[graph.multiply(g, v)] = w
-        except VertexIdError as exc:
-            raise RankMismatchError(f"atom {v!r} is not a rank-{graph.rank} word") from exc
-    return AtomicMeasure(translated)
+    return AtomicMeasure({graph.multiply(g, v): w for v, w in mu.items()})
 
 
 def parse_mass(token: str) -> Fraction:

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from meansets.errors import GraphFormatError, InfiniteGraphError, UnreachableVertexError
+from meansets.errors import GraphFormatError, InfiniteGraphError, VertexIdError
 from meansets.freegroup import CayleyGraph
 from meansets.graphs import (
     ExplicitGraph,
@@ -96,7 +96,7 @@ class TestDistance:
     def test_unreachable_raises(self):
         # an oracle violating the connectivity contract: isolated vertices
         g = ImplicitGraph(lambda v: ())
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             g.distance(0, 5)
 
 
@@ -120,20 +120,20 @@ class TestDistancesFrom:
 
     def test_non_vertex_source_raises(self):
         g = path_graph(3)
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             g.distances(7)
         # ball reads the BFS column by position, so it checks its centre
         # first: the bare position lookup would raise KeyError
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             g.ball(7, 1)
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             g.distance(7, 0)
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             g.distance(0, 7)
 
     def test_non_vertex_to_itself_raises(self):
         # u == v used to answer 0 before the vertex check
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             path_graph(3).distance(7, 7)
 
     @pytest.mark.parametrize(

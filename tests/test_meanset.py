@@ -1,5 +1,6 @@
 import copy
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,6 @@ import pytest
 from meansets.errors import (
     InfiniteGraphError,
     NotATreeError,
-    UnreachableAtomError,
     VertexIdError,
 )
 from meansets.freegroup import CayleyGraph, sample_sphere, word_to_str
@@ -125,7 +125,7 @@ class TestWeight:
     def test_unreachable_atom(self):
         broken = ImplicitGraph(lambda v: ())
         mu = AtomicMeasure.point_mass(5)
-        with pytest.raises(UnreachableAtomError):
+        with pytest.raises(VertexIdError):
             weight(broken, mu, 0, 2)
 
     def test_bad_class(self):
@@ -238,14 +238,14 @@ class TestMeanSetExact:
             mean_set_exact(g, AtomicMeasure.point_mass(atom), 2)
 
     def test_atom_outside_graph(self):
-        with pytest.raises(UnreachableAtomError):
+        with pytest.raises(VertexIdError):
             mean_set_exact(path_graph(3), AtomicMeasure.point_mass(99), 2)
-        with pytest.raises(UnreachableAtomError):
+        with pytest.raises(VertexIdError):
             weight(path_graph(3), AtomicMeasure.point_mass(99), 0, 2)
 
     def test_weight_at_a_non_vertex_atom(self):
         # the atom is the vertex weighted: d(7, 7) used to read 0
-        with pytest.raises(UnreachableAtomError):
+        with pytest.raises(VertexIdError):
             weight(path_graph(3), AtomicMeasure.point_mass(7), 7, 2)
 
     def test_weight_at_a_non_canonical_free_group_atom(self):
@@ -515,13 +515,13 @@ class TestMeanSetTree:
         # every solver names a missing atom with the same error
         mu = AtomicMeasure.from_masses(masses)
         for solve in (mean_set_tree, mean_set_exact, mean_set_bounded):
-            with pytest.raises(UnreachableAtomError):
+            with pytest.raises(VertexIdError):
                 solve(path_graph(3), mu, 2)
 
     def test_unreachable_atom_on_implicit_tree(self):
         # an oracle violating the connectivity contract: isolated vertices
         broken = ImplicitGraph(lambda v: (), is_tree=True)
-        with pytest.raises(UnreachableAtomError):
+        with pytest.raises(VertexIdError):
             mean_set_tree(broken, AtomicMeasure.from_masses({0: 1, 5: 1}), 2)
 
     def test_explicit_tree_walked_only_back_to_the_root(self):
@@ -930,7 +930,7 @@ class TestIntegerLine:
 
     @pytest.mark.parametrize("atom", [1.5, "a", (0,)])
     def test_non_integer_atom_raises(self, atom):
-        with pytest.raises(UnreachableAtomError):
+        with pytest.raises(VertexIdError):
             measure_mean_set(integer_line(), AtomicMeasure.point_mass(atom), 2)
 
     def test_abelian_right_translation(self):
@@ -996,3 +996,64 @@ class TestDispatch:
     def test_implicit_non_tree_goes_bounded(self):
         res = measure_mean_set(integer_grid(), AtomicMeasure.point_mass((0, 0)), 2)
         assert res.method == "bounded"
+
+
+def bfs_path(n: int) -> ImplicitGraph:
+    """path(n) behind a bare neighbor oracle: no vertex rule and no distance
+    oracle, so only its BFS can tell that an id is not a vertex."""
+    return ImplicitGraph(lambda v: [u for u in (v - 1, v + 1) if 0 <= u < n], is_tree=True)
+
+
+# kind -> (graph, a vertex, masses with one atom that is not a vertex, that
+# atom, the entry points besides weight and measure_mean_set that take the kind)
+NON_VERTEX = {
+    "path": (path_graph(3), 0, {0: 1, 99: 1}, 99,
+             ("mean_set_exact", "mean_set_tree", "mean_set_bounded")),
+    "free-group": (CayleyGraph(2), "e", {"a": 1, "c": 1}, "c",
+                   ("mean_set_tree", "mean_set_bounded", "shift")),
+    "line": (integer_line(), 0, {0: 1, 0.5: 1}, 0.5,
+             ("line_mean_set", "mean_set_tree", "mean_set_bounded")),
+    "grid": (integer_grid(), (0, 0), {(0, 0): 1, (0, 0.5): 1}, (0, 0.5), ("mean_set_bounded",)),
+    "bfs-tree": (bfs_path(3), 0, {0: 1, 99: 1}, 99, ("mean_set_tree", "mean_set_bounded")),
+}
+
+ENTRY_POINTS = {
+    "weight": lambda g, v, mu: weight(g, mu, v, 2),
+    "measure_mean_set": lambda g, v, mu: measure_mean_set(g, mu, 2),
+    "mean_set_exact": lambda g, v, mu: mean_set_exact(g, mu, 2),
+    "mean_set_tree": lambda g, v, mu: mean_set_tree(g, mu, 2),
+    "mean_set_bounded": lambda g, v, mu: mean_set_bounded(g, mu, 2),
+    "line_mean_set": lambda g, v, mu: line_mean_set(mu, 2),
+    "shift": lambda g, v, mu: shift(mu, "a", g),
+}
+
+
+class TestNonVertexId:
+    @pytest.mark.parametrize("kind, entry", [
+        (kind, entry)
+        for kind, (*_, entries) in NON_VERTEX.items()
+        for entry in ("weight", "measure_mean_set", *entries)
+    ])
+    def test_atom_raises_vertex_id_error(self, kind, entry):
+        # one except catches a bad atom on every graph kind: the line's and
+        # the grid's distance oracles would compute with any value, so atoms
+        # meet their vertex rules first; a bare oracle graph's BFS raises
+        # once it ends without reaching the atom
+        g, v, masses, bad, _ = NON_VERTEX[kind]
+        with pytest.raises(VertexIdError, match=re.escape(repr(bad))):
+            ENTRY_POINTS[entry](g, v, AtomicMeasure.from_masses(masses))
+
+    @pytest.mark.parametrize("kind, bad", [
+        ("path", 99), ("free-group", "c"), ("line", 0.5), ("grid", [0, 0]),
+    ])
+    @pytest.mark.parametrize("query", ["distance", "ball"])
+    def test_source_raises_vertex_id_error(self, kind, bad, query):
+        # a source is checked before it reaches the oracle or is hashed
+        g, v, *_ = NON_VERTEX[kind]
+        with pytest.raises(VertexIdError, match=re.escape(repr(bad))):
+            g.distances(bad)(v) if query == "distance" else g.ball(bad, 1)
+
+    def test_grid_point_mass_on_an_int(self):
+        # the grid's oracle would subscript the int
+        with pytest.raises(VertexIdError, match="^5 is not a vertex of the integer grid$"):
+            mean_set_bounded(integer_grid(), AtomicMeasure.point_mass(5), 2)

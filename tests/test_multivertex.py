@@ -7,7 +7,7 @@ from math import comb, lcm, sqrt
 
 import pytest
 
-from meansets.errors import NotMeanSetError, UnreachableVertexError
+from meansets.errors import NotMeanSetError, VertexIdError
 from meansets.experiments import derive_seed
 from meansets.graphs import integer_line, path_graph, star_graph
 from meansets.measures import AtomicMeasure, _increment_sampler
@@ -213,7 +213,7 @@ class TestIncrements:
     def test_unvalidated_non_vertex_raises(self):
         # distances are lookups into per-atom BFS columns: a vertex that no
         # column reaches must raise the graph's error, not a KeyError
-        with pytest.raises(UnreachableVertexError):
+        with pytest.raises(VertexIdError):
             increments(path_graph(3), AtomicMeasure.uniform([0, 2]), 1, [9], validate=False)
 
     def test_explicit_graph_never_walked_by_id(self):
