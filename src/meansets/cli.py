@@ -13,6 +13,7 @@ import functools
 import json
 import random
 import sys
+from dataclasses import fields
 from fractions import Fraction
 
 from .errors import MeansetsError
@@ -22,6 +23,7 @@ from .experiments import (
     SweepReport,
     decay_to_csv,
     derive_seed,
+    require_increasing,
     run_decay_experiment,
     run_invariant_suite,
     run_invariant_sweep,
@@ -60,33 +62,28 @@ def _fraction_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _int_at_least(text: str, minimum: int) -> int:
+def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value
 
 
-def _positive_int(text: str) -> int:
-    return _int_at_least(text, 1)
-
-
 def _increasing(text: str, minimum: int, what: str) -> tuple[int, ...]:
-    """Comma-separated integers, each at least `minimum`, strictly increasing."""
+    """Comma-separated integers under `require_increasing`'s rule."""
     try:
         values = tuple(int(part) for part in text.split(",") if part.strip())
     except ValueError:
         values = ()
     if not values:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
-    if min(values) < minimum:
-        raise argparse.ArgumentTypeError(f"values must be at least {minimum}, got {text!r}")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise argparse.ArgumentTypeError(f"{what} must be strictly increasing, got {text!r}")
-    return values
+    try:
+        return require_increasing(values, minimum, what)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"{exc}, got {text!r}") from None
 
 
 def _sample_sizes(text: str) -> tuple[int, ...]:
@@ -129,20 +126,15 @@ def _write_output(text: str, out: str | None) -> None:
 
 def _cmd_meanset(args) -> int:
     g, mu = _load_instance(args)
-    method = args.method
-    if method == "auto":
-        result = measure_mean_set(g, mu, args.weight_class)
-    elif method == "exact":
-        result = mean_set_exact(g, mu, args.weight_class)
-    elif method == "descent":
-        result = mean_set_tree(g, mu, args.weight_class)
-    else:
-        if isinstance(g, CayleyGraph):
-            raise MeansetsError(
-                "--method bounded does not run on a free group: its balls grow "
-                "exponentially (use descent)"
-            )
-        result = mean_set_bounded(g, mu, args.weight_class)
+    if args.method == "bounded" and isinstance(g, CayleyGraph):
+        raise MeansetsError(
+            "--method bounded does not run on a free group: its balls grow "
+            "exponentially (use descent)"
+        )
+    # built per call, so each solver is looked up when the command runs
+    solvers = {"auto": measure_mean_set, "exact": mean_set_exact,
+               "descent": mean_set_tree, "bounded": mean_set_bounded}
+    result = solvers[args.method](g, mu, args.weight_class)
     # on a free group the payload has always reported the atoms' prefix hull
     steps = g.prefix_hull_size(mu.support()) if isinstance(g, CayleyGraph) else result.steps
     payload = {
@@ -159,8 +151,7 @@ def _cmd_meanset(args) -> int:
 def _cmd_walk(args) -> int:
     g, mu = _load_instance(args)
     meanset = measure_mean_set(g, mu, 2).vertices
-    base = min(meanset)
-    others = [v for v in sorted(meanset) if v != base]
+    base, *others = sorted(meanset)
     incs = increments(g, mu, base, others, validate=False)
     hypotheses = positivity_hypotheses(incs, mu, base)
     rng = random.Random(derive_seed(args.seed, "walk"))
@@ -184,13 +175,7 @@ def _cmd_walk(args) -> int:
 
 
 def _cmd_table(args) -> int:
-    cfg = ExperimentConfig(
-        rank=args.rank,
-        lengths=args.lengths,
-        samples=args.samples,
-        trials=args.trials,
-        seed=args.seed,
-    )
+    cfg = ExperimentConfig(**{f.name: getattr(args, f.name) for f in fields(ExperimentConfig)})
     cells = run_table_experiment(cfg, workers=args.workers)
     text = table_to_json(cfg, cells) if args.format == "json" else table_to_csv(cells)
     _write_output(text, args.out)
@@ -235,16 +220,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_walk)
 
     p = sub.add_parser("table-f4", help="sphere-sampling convergence table")
-    p.add_argument("--rank", type=_positive_int, default=4)
-    p.add_argument("--lengths", type=_lengths, default=(5, 10, 20, 50))
-    p.add_argument("--samples", type=_sample_sizes, default=(2, 4, 6, 8, 10, 12, 14, 16))
-    p.add_argument("--trials", type=_positive_int, default=1000)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--rank", type=_positive_int)
+    p.add_argument("--lengths", type=_lengths)
+    p.add_argument("--samples", type=_sample_sizes)
+    p.add_argument("--trials", type=_positive_int)
+    p.add_argument("--seed", type=int)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--workers", type=_positive_int, default=1,
                    help="cells run in a process pool when > 1; output is unchanged")
-    p.set_defaults(func=_cmd_table)
+    # the table's shape has one home: ExperimentConfig's field defaults
+    p.set_defaults(func=_cmd_table, **{f.name: f.default for f in fields(ExperimentConfig)})
 
     p = sub.add_parser("decay", help="sample mean-set miss-rate curve")
     _add_instance_args(p)

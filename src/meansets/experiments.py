@@ -17,12 +17,15 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations, product
 
 from .errors import VertexIdError
 from .freegroup import CayleyGraph, sample_sphere, word_to_str
 from .graphs import Graph
 from .measures import AtomicMeasure, draw, shift
 from .meanset import (
+    classical_mean_gap,
+    line_mean_set,
     mean_set_exact,
     mean_set_tree,
     measure_mean_set,
@@ -39,6 +42,18 @@ def derive_seed(master: int, *parts) -> int:
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
+def require_increasing(values, minimum: int, what: str) -> tuple:
+    """`values` as a tuple, after checking the one rule for a list of
+    sample sizes or sphere lengths: each value at least `minimum`, values
+    strictly increasing.  ValueError naming `what` otherwise."""
+    values = tuple(values)
+    if any(v < minimum for v in values):
+        raise ValueError(f"{what} must be at least {minimum}")
+    if any(b <= a for a, b in zip(values, values[1:])):
+        raise ValueError(f"{what} must be strictly increasing")
+    return values
+
+
 @dataclass
 class ExperimentConfig:
     rank: int = 4
@@ -50,14 +65,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if any(b <= a for a, b in zip(self.samples, self.samples[1:])):
-            raise ValueError("sample sizes must be strictly increasing")
-        if any(n < 1 for n in self.samples):
-            raise ValueError("sample sizes must be positive")
-        if any(length < 0 for length in self.lengths):
-            raise ValueError("sphere lengths must be >= 0")
-        if any(b <= a for a, b in zip(self.lengths, self.lengths[1:])):
-            raise ValueError("sphere lengths must be strictly increasing")
+        require_increasing(self.samples, 1, "sample sizes")
+        require_increasing(self.lengths, 0, "sphere lengths")
 
 
 @dataclass(slots=True)
@@ -212,6 +221,7 @@ def run_decay_experiment(
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    samples = require_increasing(samples, 1, "sample sizes")
     truth = measure_mean_set(graph, mu, 2).vertices
     points = []
     for n in samples:
@@ -321,32 +331,31 @@ def _check_tree_configuration(rng: random.Random) -> bool:
 def _check_cut_point(rng: random.Random) -> bool:
     g = randomgen.random_cutpoint_graph(rng, max_vertices=9)
     mu = randomgen.random_measure(g.vertices(), rng)
-    d = {v: g.distances(v) for v in g.vertices()}
+    vertices = g.vertices()
+    d = {v: g.distances(v) for v in vertices}
+    w = {v: weight(g, mu, v, 2) for v in vertices}
     for v0 in g.cut_points():
-        comps = g.components_without([v0])
-        m0 = weight(g, mu, v0, 2)
-        for i in range(len(comps)):
-            for j in range(i + 1, len(comps)):
-                for v1 in comps[i]:
-                    for v2 in comps[j]:
-                        d1 = d[v0](v1)
-                        d2 = d[v0](v2)
-                        bound = d2 * d1 * (d1 + d2)
-                        for s in g.vertices():
-                            lhs = d2 * (d[v1](s) ** 2 - d[v0](s) ** 2) + d1 * (
-                                d[v2](s) ** 2 - d[v0](s) ** 2
-                            )
-                            if lhs < bound or bound <= 0:
-                                return False
-                        if m0 >= weight(g, mu, v1, 2) and m0 >= weight(g, mu, v2, 2):
-                            return False
+        for comp1, comp2 in combinations(g.components_without([v0]), 2):
+            for v1, v2 in product(comp1, comp2):
+                d1 = d[v0](v1)
+                d2 = d[v0](v2)
+                bound = d2 * d1 * (d1 + d2)
+                if bound <= 0:
+                    return False
+                for s in vertices:
+                    lhs = d2 * (d[v1](s) ** 2 - d[v0](s) ** 2) + d1 * (
+                        d[v2](s) ** 2 - d[v0](s) ** 2
+                    )
+                    if lhs < bound:
+                        return False
+                if w[v0] >= w[v1] and w[v0] >= w[v2]:
+                    return False
     return True
 
 
 def _check_dimension_invariance(rng: random.Random) -> bool:
     g, mu, meanset = randomgen.random_multivertex_instance(rng)
-    base = min(meanset)
-    others = [v for v in sorted(meanset) if v != base]
+    base, *others = sorted(meanset)
     incs = increments(g, mu, base, others, validate=False)
     if any(x != 0 for x in first_moment(incs)):
         return False
@@ -354,8 +363,6 @@ def _check_dimension_invariance(rng: random.Random) -> bool:
 
 
 def _check_classical_mean_gap(rng: random.Random) -> bool:
-    from .meanset import classical_mean_gap, line_mean_set
-
     mu = randomgen.random_integer_measure(rng)
     result = line_mean_set(mu, 2)
     if not 1 <= len(result.vertices) <= 2:
@@ -367,7 +374,7 @@ def _check_classical_mean_gap(rng: random.Random) -> bool:
 # suite seeds its cases from its own name, so a suite run alone reports
 # what it reports in the full sweep.
 INVARIANT_SUITES = {
-    "shift-property": (lambda rng, fault: _check_shift_property(rng, fault), 1),
+    "shift-property": (_check_shift_property, 1),
     "tree-configuration": (lambda rng, fault: _check_tree_configuration(rng), 1),
     "cut-point-inequality": (lambda rng, fault: _check_cut_point(rng), 2),
     "dimension-invariance": (lambda rng, fault: _check_dimension_invariance(rng), 1),
@@ -379,6 +386,8 @@ def run_invariant_suite(
     name: str, seed: int = 42, cases: int = 50, inject_fault: bool = False
 ) -> SuiteResult:
     """Run one suite of INVARIANT_SUITES; deterministic given the seed."""
+    if cases < 1:
+        raise ValueError("cases must be >= 1")
     check, divisor = INVARIANT_SUITES[name]
     cases = max(cases // divisor, 1)
     failures = 0

@@ -41,7 +41,9 @@ class Graph:
         """Raise VertexIdError if v is not a vertex: the graph kind's vertex
         rule, against which queries check their sources and solvers their
         atoms.  A bare oracle graph has no rule and accepts every id; its
-        BFS raises once it ends without reaching an id."""
+        BFS raises only when it ends without reaching an id asked for, so a
+        lone id passes: the oracle cannot tell it from a one-vertex graph.
+        Membership, like connectivity, is the caller's contract there."""
 
     def distance(self, u, v) -> int:
         """Geodesic distance between u and v."""

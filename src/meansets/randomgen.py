@@ -11,6 +11,7 @@ import random
 from .freegroup import word_to_str
 from .graphs import ExplicitGraph, complete_graph, cycle_graph, path_graph
 from .measures import AtomicMeasure
+from .meanset import mean_set_exact
 
 
 def random_tree(rng: random.Random, max_vertices: int, min_vertices: int = 2) -> ExplicitGraph:
@@ -95,8 +96,6 @@ def random_multivertex_instance(rng: random.Random):
     complete graphs, two-point symmetric paths) with rejection sampling over
     arbitrary graphs and measures.
     """
-    from .meanset import mean_set_exact
-
     while True:
         kind = rng.randrange(4)
         if kind == 0:
@@ -111,9 +110,7 @@ def random_multivertex_instance(rng: random.Random):
             g = path_graph(2 * half)
             masses = {}
             for i in range(half):
-                m = rng.randint(1, 9)
-                masses[i] = masses.get(i, 0) + m
-                masses[2 * half - 1 - i] = masses.get(2 * half - 1 - i, 0) + m
+                masses[i] = masses[2 * half - 1 - i] = rng.randint(1, 9)
             mu = AtomicMeasure.from_masses(masses)
         else:
             g = random_connected_graph(rng, 10, min_vertices=3)

@@ -397,6 +397,18 @@ class TestTableCommand:
         payload = json.loads(out)
         assert payload["cells"][0]["trials"] == 10
 
+    def test_default_shape_is_the_config_default(self, capsys):
+        # rank, lengths and samples come from ExperimentConfig's defaults:
+        # the bytes test_seed_42_table_bytes_pinned pins for
+        # ExperimentConfig(trials=10, seed=42)
+        import hashlib
+
+        code, out, _ = run_cli(capsys, "table-f4", "--trials", "10", "--seed", "42")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "6e732a2f3709f41582e13dce61955d8815d6054b23b7bb95ef88f113948966a2"
+        )
+
 
 class TestDecayCommand:
     def test_point_mass_curve(self, capsys, tmp_path):
@@ -510,6 +522,22 @@ def test_bad_numeric_argument_exits_2(capsys, path_instance, argv, flag):
     assert out == ""
     assert err.startswith(f"error: argument {flag}:")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["table-f4", "--samples", "0"], "--samples: sample sizes must be at least 1, got '0'"),
+    (["table-f4", "--samples", "2,2"],
+     "--samples: sample sizes must be strictly increasing, got '2,2'"),
+    (["table-f4", "--lengths", "-1"], "--lengths: sphere lengths must be at least 0, got '-1'"),
+    (["table-f4", "--lengths", "20,5"],
+     "--lengths: sphere lengths must be strictly increasing, got '20,5'"),
+])
+def test_list_rule_error_names_the_list(capsys, argv, message):
+    # the library's rule, with the text the user typed appended
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err == f"error: argument {message}\n"
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,9 @@ from meansets.experiments import (
     ExperimentConfig,
     decay_to_csv,
     derive_seed,
+    require_increasing,
     run_decay_experiment,
+    run_invariant_suite,
     run_invariant_sweep,
     run_table_cell,
     run_table_experiment,
@@ -58,6 +60,21 @@ class TestConfig:
             with pytest.raises(ValueError, match="strictly increasing"):
                 ExperimentConfig(lengths=lengths)
         ExperimentConfig(lengths=(0, 1, 5))
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("samples", (0, 2), "sample sizes must be at least 1"),
+        ("samples", (2, 2), "sample sizes must be strictly increasing"),
+        ("lengths", (-1, 5), "sphere lengths must be at least 0"),
+        ("lengths", (20, 5), "sphere lengths must be strictly increasing"),
+    ])
+    def test_list_rule_messages(self, field, values, message):
+        # the config, the decay runner and the CLI's --samples and --lengths
+        # all apply require_increasing
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ExperimentConfig(**{field: values})
+
+    def test_list_rule_returns_a_tuple(self):
+        assert require_increasing(iter([0, 3, 7]), 0, "sphere lengths") == (0, 3, 7)
 
 
 class TestTableExperiment:
@@ -135,6 +152,17 @@ class TestDecayExperiment:
     def test_trials_must_be_positive(self):
         with pytest.raises(ValueError):
             run_decay_experiment(path_graph(4), AtomicMeasure.point_mass(1), (2,), trials=0, seed=1)
+
+    @pytest.mark.parametrize("samples, message", [
+        ((8, 4, 4), "sample sizes must be strictly increasing"),
+        ((0, 4), "sample sizes must be at least 1"),
+    ])
+    def test_samples_follow_the_list_rule(self, samples, message):
+        # a repeated size would report two points for one n, as the CLI and
+        # ExperimentConfig already refuse
+        mu = AtomicMeasure.uniform([0, 2])
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run_decay_experiment(path_graph(3), mu, samples, 5, 1)
 
     def test_multi_vertex_truth_misses_only_outside_it(self):
         g = path_graph(2)
@@ -222,3 +250,9 @@ class TestInvariantSweep:
         b = run_invariant_sweep(seed=7, cases=8).render()
         assert a == b
         assert "ALL PASS" in a
+
+    @pytest.mark.parametrize("cases", [0, -3])
+    def test_cases_must_be_positive(self, cases):
+        # the divisor's floor of one case must not hide a count below one
+        with pytest.raises(ValueError, match="^cases must be >= 1$"):
+            run_invariant_suite("shift-property", 42, cases)

@@ -998,10 +998,10 @@ class TestDispatch:
         assert res.method == "bounded"
 
 
-def bfs_path(n: int) -> ImplicitGraph:
+def bfs_path(n: int, *, is_tree: bool) -> ImplicitGraph:
     """path(n) behind a bare neighbor oracle: no vertex rule and no distance
     oracle, so only its BFS can tell that an id is not a vertex."""
-    return ImplicitGraph(lambda v: [u for u in (v - 1, v + 1) if 0 <= u < n], is_tree=True)
+    return ImplicitGraph(lambda v: [u for u in (v - 1, v + 1) if 0 <= u < n], is_tree=is_tree)
 
 
 # kind -> (graph, a vertex, masses with one atom that is not a vertex, that
@@ -1014,7 +1014,9 @@ NON_VERTEX = {
     "line": (integer_line(), 0, {0: 1, 0.5: 1}, 0.5,
              ("line_mean_set", "mean_set_tree", "mean_set_bounded")),
     "grid": (integer_grid(), (0, 0), {(0, 0): 1, (0, 0.5): 1}, (0, 0.5), ("mean_set_bounded",)),
-    "bfs-tree": (bfs_path(3), 0, {0: 1, 99: 1}, 99, ("mean_set_tree", "mean_set_bounded")),
+    "bfs-tree": (bfs_path(3, is_tree=True), 0, {0: 1, 99: 1}, 99,
+                 ("mean_set_tree", "mean_set_bounded")),
+    "bfs": (bfs_path(3, is_tree=False), 0, {0: 1, 99: 1}, 99, ("mean_set_bounded",)),
 }
 
 ENTRY_POINTS = {
@@ -1038,7 +1040,9 @@ class TestNonVertexId:
         # one except catches a bad atom on every graph kind: the line's and
         # the grid's distance oracles would compute with any value, so atoms
         # meet their vertex rules first; a bare oracle graph's BFS raises
-        # once it ends without reaching the atom
+        # once it ends without reaching the atom, which takes a second atom:
+        # a lone atom asks no BFS to leave it, and the oracle cannot tell it
+        # from a one-vertex graph
         g, v, masses, bad, _ = NON_VERTEX[kind]
         with pytest.raises(VertexIdError, match=re.escape(repr(bad))):
             ENTRY_POINTS[entry](g, v, AtomicMeasure.from_masses(masses))
