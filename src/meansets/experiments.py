@@ -44,9 +44,12 @@ def derive_seed(master: int, *parts) -> int:
 
 def require_increasing(values, minimum: int, what: str) -> tuple:
     """`values` as a tuple, after checking the one rule for a list of
-    sample sizes or sphere lengths: each value at least `minimum`, values
-    strictly increasing.  ValueError naming `what` otherwise."""
+    sample sizes or sphere lengths: not empty, each value at least
+    `minimum`, values strictly increasing.  ValueError naming `what`
+    otherwise."""
     values = tuple(values)
+    if not values:
+        raise ValueError(f"{what} must not be empty")
     if any(v < minimum for v in values):
         raise ValueError(f"{what} must be at least {minimum}")
     if any(b <= a for a, b in zip(values, values[1:])):
@@ -54,7 +57,7 @@ def require_increasing(values, minimum: int, what: str) -> tuple:
     return values
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     rank: int = 4
     lengths: tuple = (5, 10, 20, 50)
@@ -63,6 +66,8 @@ class ExperimentConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError("rank must be >= 1")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         require_increasing(self.samples, 1, "sample sizes")
@@ -127,9 +132,12 @@ def run_table_cell(rank: int, length: int, n: int, trials: int, seed: int) -> Ce
 def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[CellResult]:
     """Run every (L, n) cell; the output is sorted by cell identity.
 
-    Cells are pure functions of (rank, L, n, trials, master seed), so with
-    workers > 1 they run in a process pool; results are identical to a
-    sequential run regardless of completion order.
+    The cells are listed in (L, n) order, sorted because the frozen
+    `ExperimentConfig` requires strictly increasing lengths and samples,
+    and both paths keep that order (`Executor.map` returns in input
+    order).  Cells are pure functions of (rank, L, n, trials, master seed),
+    so with workers > 1 they run in a process pool, with results identical
+    to a sequential run.
     """
     params = [
         (cfg.rank, length, n, cfg.trials, cfg.seed)
@@ -140,11 +148,8 @@ def run_table_experiment(cfg: ExperimentConfig, workers: int = 1) -> list[CellRe
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = list(pool.map(run_table_cell, *zip(*params)))
-    else:
-        cells = [run_table_cell(*args) for args in params]
-    cells.sort(key=lambda c: (c.length, c.n))
-    return cells
+            return list(pool.map(run_table_cell, *zip(*params)))
+    return [run_table_cell(*args) for args in params]
 
 
 def table_to_csv(cells: list[CellResult]) -> str:

@@ -61,9 +61,9 @@ class ExplicitGraph(Graph):
     one BFS kernel, `_column`, and never calls `neighbors`, which maps
     positions back to ids for callers that walk the graph by id.
 
-    The constructor rejects self-loops and parallel edges (they never change
-    distances) in one scan of the edges in input order, which names the
-    first offending edge, and requires connectivity.
+    The constructor checks each edge as it adds it, in input order, and
+    names the first self-loop or parallel edge (they never change
+    distances); then it requires connectivity.
     """
 
     def __init__(self, edges: Iterable[tuple]):
@@ -73,14 +73,20 @@ class ExplicitGraph(Graph):
         ids = sorted(set(chain.from_iterable(pairs)))
         index = dict(zip(ids, range(len(ids))))
         nbrs: list[list[int]] = [[] for _ in ids]
+        seen = set()
         for u, v in pairs:
             i = index[u]
             j = index[v]
+            if i == j:
+                raise GraphFormatError(f"self-loop at {u!r}")
+            key = (i, j) if i < j else (j, i)
+            if key in seen:
+                raise GraphFormatError(f"parallel edge {u!r} {v!r}")
+            seen.add(key)
             nbrs[i].append(j)
             nbrs[j].append(i)
         for ns in nbrs:
             ns.sort()
-        _reject_first_bad_edge(pairs)
         self._vertices = tuple(ids)
         self._index = index
         self._nbrs = nbrs
@@ -171,18 +177,6 @@ class _Column(dict):
 
     def __missing__(self, v):
         raise VertexIdError(f"{v!r} is not a vertex")
-
-
-def _reject_first_bad_edge(pairs: list) -> None:
-    """Raise GraphFormatError for the first self-loop or repeated edge, in input order."""
-    seen = set()
-    for u, v in pairs:
-        if u == v:
-            raise GraphFormatError(f"self-loop at {u!r}")
-        key = (u, v) if not v < u else (v, u)
-        if key in seen:
-            raise GraphFormatError(f"parallel edge {u!r} {v!r}")
-        seen.add(key)
 
 
 class ImplicitGraph(Graph):

@@ -62,8 +62,7 @@ class MeanSetResult:
 def weight(g: Graph, mu: AtomicMeasure, v, c: int = 2) -> Fraction:
     """Exact class-c weight of v under mu, from one distance column from v."""
     _check_class(c)
-    denom, nums = mu.numerators()
-    _require_atoms(g, nums)
+    denom, nums = _atoms(g, mu)
     dist = g.distances(v)
     return Fraction(sum(dist(s) ** c * m for s, m in nums.items()), denom)
 
@@ -73,9 +72,12 @@ def _check_class(c: int) -> None:
         raise ValueError("weight class must be 1 or 2")
 
 
-def _require_atoms(g: Graph, atoms) -> None:
-    for s in atoms:
+def _atoms(g: Graph, mu: AtomicMeasure) -> tuple[int, dict]:
+    """mu's `numerators()`, once every atom has passed g's vertex rule."""
+    denom, nums = mu.numerators()
+    for s in nums:
         g._require_vertex(s)
+    return denom, nums
 
 
 def _argmin(candidates, weights: list, denom: int, c: int, method: str,
@@ -106,8 +108,7 @@ def mean_set_exact(g: ExplicitGraph, mu: AtomicMeasure, c: int = 2) -> MeanSetRe
     """
     _check_class(c)
     vertices = g.vertices()
-    denom, nums = mu.numerators()
-    _require_atoms(g, nums)
+    denom, nums = _atoms(g, mu)
     index = g._index
     weights = [0] * len(vertices)
     for s, m in nums.items():
@@ -234,13 +235,13 @@ def mean_set_tree(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     _check_class(c)
     if not g.is_tree:
         raise NotATreeError("descent is exact only on trees; this graph is not a tree")
-    denom, nums = mu.numerators()
     if isinstance(g, CayleyGraph):
+        denom, nums = mu.numerators()  # path_key is the atom check here
         keys, masses = zip(*sorted((g.path_key(s), m) for s, m in nums.items()))
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (g.key_id(keys[i][:depth]) for depth, i in region)
     else:
-        _require_atoms(g, nums)
+        denom, nums = _atoms(g, mu)
         root, keys, masses = _root_path_keys(g, nums)
         region, best = _sorted_support_descent(keys, masses, c)
         vertices = (keys[i][depth - 1] if depth else root for depth, i in region)
@@ -271,8 +272,7 @@ def mean_set_bounded(g: Graph, mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     of the graph raises VertexIdError before any distance is taken.
     """
     _check_class(c)
-    denom, nums = mu.numerators()
-    _require_atoms(g, nums)
+    denom, nums = _atoms(g, mu)
     v = min(nums, key=lambda s: (-nums[s], s))
     columns = [(g.distances(s), m) for s, m in nums.items()]
     first = sum(dist(v) * m for dist, m in columns)
@@ -312,8 +312,7 @@ def line_mean_set(mu: AtomicMeasure, c: int = 2) -> MeanSetResult:
     An atom that is not an int raises VertexIdError.
     """
     _check_class(c)
-    denom, nums = mu.numerators()
-    _require_atoms(integer_line(), nums)
+    denom, nums = _atoms(integer_line(), mu)
     atoms = list(nums)  # numerators come in vertex order and sum to denom
 
     def weight(v):

@@ -48,6 +48,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(trials=0)
 
+    @pytest.mark.parametrize("rank", [0, -1])
+    def test_validates_rank(self, rank):
+        # refused at construction, not when the first cell builds its graph
+        with pytest.raises(ValueError, match="^rank must be >= 1$"):
+            ExperimentConfig(rank=rank)
+
     def test_validates_lengths(self):
         with pytest.raises(ValueError):
             ExperimentConfig(lengths=(-3,))
@@ -66,12 +72,22 @@ class TestConfig:
         ("samples", (2, 2), "sample sizes must be strictly increasing"),
         ("lengths", (-1, 5), "sphere lengths must be at least 0"),
         ("lengths", (20, 5), "sphere lengths must be strictly increasing"),
+        # an empty list would give a table with no cell
+        ("samples", (), "sample sizes must not be empty"),
+        ("lengths", (), "sphere lengths must not be empty"),
     ])
     def test_list_rule_messages(self, field, values, message):
         # the config, the decay runner and the CLI's --samples and --lengths
         # all apply require_increasing
         with pytest.raises(ValueError, match=f"^{message}$"):
             ExperimentConfig(**{field: values})
+
+    def test_frozen(self):
+        # the table lists its cells in config order, so a list set after
+        # the checks ran could unsort it
+        cfg = ExperimentConfig()
+        with pytest.raises(AttributeError):
+            cfg.samples = (4, 2)
 
     def test_list_rule_returns_a_tuple(self):
         assert require_increasing(iter([0, 3, 7]), 0, "sphere lengths") == (0, 3, 7)
@@ -156,6 +172,8 @@ class TestDecayExperiment:
     @pytest.mark.parametrize("samples, message", [
         ((8, 4, 4), "sample sizes must be strictly increasing"),
         ((0, 4), "sample sizes must be at least 1"),
+        # an empty list would give a CSV with no point
+        ((), "sample sizes must not be empty"),
     ])
     def test_samples_follow_the_list_rule(self, samples, message):
         # a repeated size would report two points for one n, as the CLI and

@@ -230,10 +230,12 @@ class TestMeanSetExact:
             mean_set_bounded(g, mu, 2)
         assert vars(g) == before
 
-    @pytest.mark.parametrize("g, atom", [(CayleyGraph(2), "e"), (integer_grid(), (0, 0))],
-                             ids=["free-group", "grid"])
+    @pytest.mark.parametrize("g, atom", [
+        (CayleyGraph(2), "e"), (integer_grid(), (0, 0)), (CayleyGraph(2), "c"),
+    ], ids=["free-group", "grid", "free-group-non-vertex"])
     def test_implicit_graph_refused(self, g, atom):
-        # an implicit graph has no vertex list to scan
+        # an implicit graph has no vertex list to scan, which the scan asks
+        # for before it reads the atoms ("c" is no vertex of F2)
         with pytest.raises(InfiniteGraphError):
             mean_set_exact(g, AtomicMeasure.point_mass(atom), 2)
 
@@ -509,6 +511,9 @@ class TestMeanSetTree:
             mean_set_tree(ImplicitGraph(g.neighbors, is_tree=False), mu, 2)
         with pytest.raises(NotATreeError):
             mean_set_tree(integer_grid(), AtomicMeasure.uniform([(0, 0), (1, 1)]), 2)
+        # the tree test comes before the atoms: 9 is no vertex of the cycle
+        with pytest.raises(NotATreeError):
+            mean_set_tree(cycle_graph(4), AtomicMeasure.point_mass(9), 2)
 
     @pytest.mark.parametrize("masses", [{0: 1, 7: 1}, {0: 1, 7: 2}, {7: 1}])
     def test_atom_outside_graph(self, masses):
@@ -1020,12 +1025,12 @@ NON_VERTEX = {
 }
 
 ENTRY_POINTS = {
-    "weight": lambda g, v, mu: weight(g, mu, v, 2),
-    "measure_mean_set": lambda g, v, mu: measure_mean_set(g, mu, 2),
-    "mean_set_exact": lambda g, v, mu: mean_set_exact(g, mu, 2),
-    "mean_set_tree": lambda g, v, mu: mean_set_tree(g, mu, 2),
-    "mean_set_bounded": lambda g, v, mu: mean_set_bounded(g, mu, 2),
-    "line_mean_set": lambda g, v, mu: line_mean_set(mu, 2),
+    "weight": lambda g, v, mu, c=2: weight(g, mu, v, c),
+    "measure_mean_set": lambda g, v, mu, c=2: measure_mean_set(g, mu, c),
+    "mean_set_exact": lambda g, v, mu, c=2: mean_set_exact(g, mu, c),
+    "mean_set_tree": lambda g, v, mu, c=2: mean_set_tree(g, mu, c),
+    "mean_set_bounded": lambda g, v, mu, c=2: mean_set_bounded(g, mu, c),
+    "line_mean_set": lambda g, v, mu, c=2: line_mean_set(mu, c),
     "shift": lambda g, v, mu: shift(mu, "a", g),
 }
 
@@ -1061,3 +1066,17 @@ class TestNonVertexId:
         # the grid's oracle would subscript the int
         with pytest.raises(VertexIdError, match="^5 is not a vertex of the integer grid$"):
             mean_set_bounded(integer_grid(), AtomicMeasure.point_mass(5), 2)
+
+
+class TestWeightClass:
+    @pytest.mark.parametrize("c", [0, 3])
+    @pytest.mark.parametrize("entry", [
+        "weight", "measure_mean_set", "mean_set_exact", "mean_set_tree",
+        "mean_set_bounded", "line_mean_set",
+    ])
+    def test_weight_class_refused_before_the_atoms(self, entry, c):
+        # the measure holds an atom that is not a vertex, which the class
+        # check must name first
+        g, v, masses, *_ = NON_VERTEX["line" if entry == "line_mean_set" else "path"]
+        with pytest.raises(ValueError, match="^weight class must be 1 or 2$"):
+            ENTRY_POINTS[entry](g, v, AtomicMeasure.from_masses(masses), c)
